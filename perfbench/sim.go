@@ -235,6 +235,10 @@ func runSim(o options, idx int) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One P for the whole sim workload, the collector included: a serial
+	// run then needs one CPU and no longer waits whenever other work holds
+	// the host's second one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var setups []time.Duration
 	var pool [][]bvc.Vector
 	for r := 0; r < setupRepeats; r++ {
