@@ -68,10 +68,9 @@ func TestBenchmarkJSONMatches(t *testing.T) {
 	for _, w := range b.Workloads {
 		ws = append(ws, w.Name)
 	}
-	ws = append(ws, "live-latency", "sim-rasync") // runnable, not gated
 	sort.Strings(ws)
 	if !reflect.DeepEqual(ws, workloadNames()) {
-		t.Errorf("BENCHMARK.json workloads %v with the ungated ones, program %v", ws, workloadNames())
+		t.Errorf("BENCHMARK.json workloads %v, program %v", ws, workloadNames())
 	}
 	if !reflect.DeepEqual(b.EndToEnd, endToEnd) {
 		t.Errorf("BENCHMARK.json end_to_end %v\nprogram %v", b.EndToEnd, endToEnd)
@@ -110,15 +109,15 @@ func TestLiveMutationRaisesFailRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live mesh run")
 	}
-	o := options{workload: "live-latency", seed: 3, seconds: 0.5, mutate: func(op int, decs [][]float64) {
+	o := options{workload: "live-capacity", seed: 3, seconds: 0.5, mutate: func(op int, decs [][]float64) {
 		switch op {
 		case 5:
 			decs[0] = []float64{2, 2}
-		case latencyWarmup + 10:
+		case capacityWarmup + 10:
 			decs[1] = []float64{decs[0][0] + 2*liveEps, decs[0][1]}
 		}
 	}}
-	out, err := runLive(o, false)
+	out, err := runLive(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestSimMutationRaisesFailRatio(t *testing.T) {
 			decs[0][0] = 5
 		}
 	}}
-	out, err := runSim(o, approxCell)
+	out, err := runSim(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,28 +191,26 @@ func TestTracedSimBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated runs")
 	}
-	for _, idx := range []int{approxCell, rasyncCell} {
-		sc, err := newSimCell(idx)
+	sc, err := newSimCell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		seed := runSeed(7, i)
+		inputs := sc.inputs(seed)
+		res, err := sc.simulate(inputs, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 2; i++ {
-			seed := runSeed(7, i)
-			inputs := sc.inputs(seed)
-			res, err := sc.simulate(inputs, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decs, root, spans, err := sc.simulateTraced(newTracer(), inputs, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitIdentical(decs, res.Decisions()) {
-				t.Errorf("%s seed %d: traced decisions differ", sc.cell.Name(), seed)
-			}
-			if len(spans) == 0 || root.dur() <= 0 {
-				t.Errorf("%s seed %d: %d spans, root %v", sc.cell.Name(), seed, len(spans), root.dur())
-			}
+		decs, root, spans, err := sc.simulateTraced(newTracer(), inputs, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitIdentical(decs, res.Decisions()) {
+			t.Errorf("seed %d: traced decisions differ", seed)
+		}
+		if len(spans) == 0 || root.dur() <= 0 {
+			t.Errorf("seed %d: %d spans, root %v", seed, len(spans), root.dur())
 		}
 	}
 }
@@ -225,27 +222,25 @@ func TestSimCellMatchesHarness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated runs")
 	}
-	for _, idx := range []int{approxCell, rasyncCell} {
-		sc, err := newSimCell(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := harness.RunSweepCell(harness.E10RowCells[idx])
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sc.simulate(sc.inputs(sc.cell.Seed), sc.cell.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spreads := historySpreads(res)
-		if res.Messages != want.Messages || correctRounds(res) != want.Rounds || spreads[len(spreads)-1] != want.SpreadEnd {
-			t.Errorf("%s: messages %d rounds %d spread %g; harness %d %d %g", sc.cell.Name(),
-				res.Messages, correctRounds(res), spreads[len(spreads)-1], want.Messages, want.Rounds, want.SpreadEnd)
-		}
-		if err := sc.verify(res); err != nil || !want.Verified {
-			t.Errorf("%s: verify %v, harness verified %v", sc.cell.Name(), err, want.Verified)
-		}
+	sc, err := newSimCell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := harness.RunSweepCell(harness.E10RowCells[approxCell])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.simulate(sc.inputs(sc.cell.Seed), sc.cell.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spreads := historySpreads(res)
+	if res.Messages != want.Messages || correctRounds(res) != want.Rounds || spreads[len(spreads)-1] != want.SpreadEnd {
+		t.Errorf("messages %d rounds %d spread %g; harness %d %d %g",
+			res.Messages, correctRounds(res), spreads[len(spreads)-1], want.Messages, want.Rounds, want.SpreadEnd)
+	}
+	if err := sc.verify(res); err != nil || !want.Verified {
+		t.Errorf("verify %v, harness verified %v", err, want.Verified)
 	}
 }
 

@@ -35,12 +35,11 @@ const (
 	// capacityWarmup instances (about two linger windows at capacity) run
 	// before the capacity measurement.
 	capacityWarmup = 1500
-	// latencyRate is the open loop's offered rate (inst/s), about a
-	// quarter of capacity, so latency is the protocol's critical path
-	// rather than queueing.
-	latencyRate = 100.0
-	// latencyWarmup instances (three seconds of the schedule) run first.
-	latencyWarmup = 300
+	// liveSetupRepeats is how many meshes a run builds; setup_s reports
+	// the median. One set-up takes about 5 ms and single ones scatter
+	// from 3.5 to 15 ms with whatever else the host runs: the median of
+	// 15 moved 30% between runs, the median of 101 under 10%.
+	liveSetupRepeats = 101
 	// kernelInstances is how many traced instances feed the kernel replays.
 	kernelInstances = 64
 )
@@ -126,8 +125,9 @@ func (m *mesh) finish(t *tally) []bvc.ServiceStats {
 	return stats
 }
 
-// setupMeshes builds the mesh setupRepeats times, timing construction
-// plus Establish, and keeps the last one.
+// setupMeshes builds the mesh liveSetupRepeats times, timing
+// construction plus Establish, and keeps the last one. Each build starts
+// after a forced GC, so it does not pay for the previous one's garbage.
 func setupMeshes(seed int64) ([]time.Duration, *mesh, error) {
 	var setups []time.Duration
 	for r := 0; ; r++ {
@@ -138,7 +138,7 @@ func setupMeshes(seed int64) ([]time.Duration, *mesh, error) {
 			return nil, nil, err
 		}
 		setups = append(setups, time.Since(t0))
-		if r == setupRepeats-1 {
+		if r == liveSetupRepeats-1 {
 			return setups, m, nil
 		}
 		m.close()
@@ -159,7 +159,7 @@ type liveRun struct {
 	ops       int    // measured, checked instances
 	lat       []float64
 	lastDone  time.Time
-	genLag    []float64 // ms: launch − due time (open loop), launch − slot freed (closed loop)
+	genLag    []float64 // ms: launch − the instant its window slot was freed
 	cpuStart  time.Duration
 	checkTime time.Duration
 	checked   int
@@ -174,11 +174,10 @@ func newLiveRun(m *mesh, o options, tr *tracer) *liveRun {
 }
 
 // launch proposes the next instance on every process and starts its
-// collector. origin is the instant its latency is timed from: the launch
-// in the closed loop, the due time in the open loop. slot, when non-nil,
-// gets the instance's window slot back, stamped with the instant every
-// process had decided.
-func (r *liveRun) launch(origin time.Time, measured bool, slot chan time.Time) {
+// collector, which times the instance from this launch and gives its
+// window slot back, stamped with the instant every process had decided.
+func (r *liveRun) launch(measured bool, slot chan time.Time) {
+	origin := time.Now()
 	r.next++
 	id := r.next
 	inputs := make([][]float64, liveN)
@@ -223,9 +222,7 @@ func (r *liveRun) collect(id uint64, origin time.Time, measured bool, slot chan 
 		elapsed[i] = res.Elapsed
 	}
 	done := time.Now()
-	if slot != nil {
-		slot <- done // never blocks: the window holds one slot per instance in flight
-	}
+	slot <- done // never blocks: the window holds one slot per instance in flight
 	c0 := time.Now()
 	if err == nil {
 		if r.o.mutate != nil {
@@ -282,58 +279,24 @@ func (r *liveRun) closedLoop(d time.Duration) (start time.Time) {
 	}
 	for i := 0; i < capacityWarmup; i++ {
 		<-slots
-		r.launch(time.Now(), false, slots)
+		r.launch(false, slots)
 	}
 	start, r.cpuStart = time.Now(), cpuTime()
 	for time.Now().Before(start.Add(d)) {
 		freed := <-slots
-		now := time.Now()
+		lag := ms(time.Since(freed))
 		r.mu.Lock()
-		r.genLag = append(r.genLag, ms(now.Sub(freed)))
+		r.genLag = append(r.genLag, lag)
 		r.mu.Unlock()
-		r.launch(now, true, slots)
+		r.launch(true, slots)
 	}
 	return start
 }
 
-// openLoop sends latencyRate instances per second on a fixed schedule,
-// whatever the completions do: instance i is due at t0 + i/rate, its
-// latency is timed from that due time, and how late the generator ran is
-// recorded. latencyWarmup unmeasured instances come first.
-func (r *liveRun) openLoop(d time.Duration) (start time.Time) {
-	total := latencyWarmup + int(latencyRate*d.Seconds())
-	interval := time.Duration(float64(time.Second) / latencyRate)
-	t0 := time.Now().Add(interval)
-	start = t0.Add(latencyWarmup * interval)
-	for i := 0; i < total; i++ {
-		due := t0.Add(time.Duration(i) * interval)
-		if wait := time.Until(due); wait > 0 {
-			time.Sleep(wait)
-		}
-		measured := i >= latencyWarmup
-		if i == latencyWarmup {
-			r.cpuStart = cpuTime()
-		}
-		if measured {
-			lag := ms(time.Since(due))
-			r.mu.Lock()
-			r.genLag = append(r.genLag, lag)
-			r.mu.Unlock()
-		}
-		r.launch(due, measured, nil)
-	}
-	return start
-}
-
-// drive runs the workload's loop for d and waits for every instance. The
-// CPU time is the process's from the first measured launch on.
-func (r *liveRun) drive(capacity bool, d time.Duration) measure {
-	var start time.Time
-	if capacity {
-		start = r.closedLoop(d)
-	} else {
-		start = r.openLoop(d)
-	}
+// drive runs the closed loop for d and waits for every instance. The CPU
+// time is the process's from the first measured launch on.
+func (r *liveRun) drive(d time.Duration) measure {
+	start := r.closedLoop(d)
 	r.wg.Wait()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -342,10 +305,10 @@ func (r *liveRun) drive(capacity bool, d time.Duration) measure {
 
 func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-// runLive is the untraced run of a live workload.
-func runLive(o options, capacity bool) (*outcome, error) {
+// runLive is the untraced run of the live workload.
+func runLive(o options) (*outcome, error) {
 	if o.trace {
-		return traceLive(o, capacity)
+		return traceLive(o)
 	}
 	setups, m, err := setupMeshes(o.seed)
 	if err != nil {
@@ -353,7 +316,7 @@ func runLive(o options, capacity bool) (*outcome, error) {
 	}
 	defer m.close()
 	r := newLiveRun(m, o, nil)
-	meas := r.drive(capacity, seconds(o.seconds))
+	meas := r.drive(seconds(o.seconds))
 	out := &outcome{}
 	m.finish(&r.tally)
 	out.tally = r.tally

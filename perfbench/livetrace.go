@@ -169,7 +169,7 @@ func (s *statsSampler) halt() {
 // a traced phase on a mesh built over the counting transport, with the
 // same inputs, gives the service and span metrics; then the codec and
 // the kernels are replayed offline on what the traced phase produced.
-func traceLive(o options, capacity bool) (*outcome, error) {
+func traceLive(o options) (*outcome, error) {
 	out := &outcome{metrics: zeroLayers()}
 	phase := seconds(o.seconds * 0.4)
 
@@ -179,7 +179,7 @@ func traceLive(o options, capacity bool) (*outcome, error) {
 	}
 	plain := newLiveRun(m, o, nil)
 	before := readRuntime()
-	base := plain.drive(capacity, phase)
+	base := plain.drive(phase)
 	launched := int(plain.next)
 	runtimeLayers(out.metrics, before, readRuntime(), launched)
 	m.finish(&plain.tally)
@@ -195,7 +195,7 @@ func traceLive(o options, capacity bool) (*outcome, error) {
 	defer m.close()
 	r := newLiveRun(m, o, tr)
 	sampler := sampleStats(m, 10*time.Millisecond)
-	meas := r.drive(capacity, phase)
+	meas := r.drive(phase)
 	sampler.halt()
 	stats := m.finish(&r.tally)
 	out.tally.add(r.tally)
@@ -223,12 +223,8 @@ func traceLive(o options, capacity bool) (*outcome, error) {
 	lm["service.inflight_max"] = float64(sampler.inflight)
 	lm["bench.check_us_per_op"] = perOp(us(r.checkTime), r.checked)
 	lm["bench.gen_lag_ms_p99"] = percentile(sortedCopy(r.genLag), 0.99)
-	if capacity {
-		// Time per instance, traced over untraced.
-		lm["bench.trace_overhead"] = ratio(perOp(meas.wall.Seconds(), meas.ops), perOp(base.wall.Seconds(), base.ops))
-	} else {
-		lm["bench.trace_overhead"] = ratio(percentile(sortedCopy(meas.lat), 0.5), percentile(sortedCopy(base.lat), 0.5))
-	}
+	// Time per instance, traced over untraced.
+	lm["bench.trace_overhead"] = ratio(perOp(meas.wall.Seconds(), meas.ops), perOp(base.wall.Seconds(), base.ops))
 
 	replay := seconds(o.seconds * 0.05)
 	lm["wire.decode_ns_per_frame"], lm["wire.encode_ns_per_frame"], lm["wire.header_share"] = replayWire(ct.streams(), replay, &out.tally)

@@ -1,6 +1,6 @@
-// Command perfbench is the repository's benchmark. It drives one of four
-// workloads — two against the live multi-tenant service on loopback TCP,
-// two against the discrete-event simulator — for a fixed time, checks
+// Command perfbench is the repository's benchmark. It drives one of two
+// workloads — one against the live multi-tenant service on loopback TCP,
+// one against the discrete-event simulator — for a fixed time, checks
 // every operation's outputs, and prints one JSON result line.
 //
 //	perfbench --workload live-capacity --seed 1 --seconds 20 --trace 0
@@ -42,15 +42,9 @@ type options struct {
 }
 
 // workloads maps each workload name to the function that runs it.
-// BENCHMARK.json gates live-capacity and sim-approx. live-latency and
-// sim-rasync run and trace the same way but are not gated: across seeds
-// their figures spread wider than any bound the benchmark may set
-// (README.md, "Steadiness").
 var workloads = map[string]func(options) (*outcome, error){
-	"live-capacity": func(o options) (*outcome, error) { return runLive(o, true) },
-	"live-latency":  func(o options) (*outcome, error) { return runLive(o, false) },
-	"sim-rasync":    func(o options) (*outcome, error) { return runSim(o, rasyncCell) },
-	"sim-approx":    func(o options) (*outcome, error) { return runSim(o, approxCell) },
+	"live-capacity": runLive,
+	"sim-approx":    runSim,
 }
 
 func realMain(args []string, stdout, stderr io.Writer) int {
@@ -211,10 +205,11 @@ type measure struct {
 // endToEndMetrics turns a measured window plus the set-up samples into
 // the end-to-end metric values.
 func endToEndMetrics(m measure, setups []time.Duration) map[string]float64 {
+	lat := sortedCopy(m.lat)
 	return map[string]float64{
 		"ops_per_s":      float64(m.ops) / max(m.wall.Seconds(), 1e-9),
-		"latency_p50_ms": percentile(sortedCopy(m.lat), 0.50),
-		"latency_p99_ms": windowedP99(m.lat),
+		"latency_p50_ms": percentile(lat, 0.50),
+		"latency_p99_ms": percentile(lat, 0.99),
 		"cpu_ms_per_op":  perOp(ms(m.cpu), m.ops),
 		"setup_s":        medianDuration(setups).Seconds(),
 		"max_rss_mb":     maxRSSMB(),

@@ -8,9 +8,9 @@ type metricDef struct {
 }
 
 // endToEnd are the metrics of an untraced run, reported on every workload.
-// An op is one consensus instance: on the live workloads an instance
-// proposed on all 5 processes and decided by all of them, on the sim
-// workloads one verified simulated run.
+// An op is one consensus instance: on live-capacity an instance proposed
+// on all 5 processes and decided by all of them, on sim-approx one
+// verified simulated run.
 var endToEnd = []metricDef{
 	{"ops_per_s", "1/s", "higher"},
 	{"latency_p50_ms", "ms", "lower"},
@@ -22,8 +22,8 @@ var endToEnd = []metricDef{
 
 // perLayer are the metrics of a traced run, reported on every workload. A
 // layer that is not on a workload's path reads 0 there (the service and
-// wire layers on sim-*, the simulator and node-callback layers on live-*,
-// the open-loop generator lag everywhere but live-latency).
+// wire layers on sim-approx, the simulator and node-callback layers on
+// live-capacity).
 var perLayer = []metricDef{
 	{"service.propose_us_p50", "us", "lower"},
 	{"service.propose_us_p99", "us", "lower"},
@@ -53,6 +53,7 @@ var perLayer = []metricDef{
 	{"sim.msgs_per_op", "count", "lower"},
 	{"sim.rounds_per_op", "count", "lower"},
 	{"sim.self_ms_per_op", "ms", "lower"},
+	{"sim.parallel_ms_per_op", "ms", "lower"},
 
 	{"safearea.point_us_lift", "us", "lower"},
 	{"safearea.point_us_lexmin", "us", "lower"},

@@ -10,101 +10,63 @@ import (
 	"repro/internal/harness"
 )
 
-// The sim workloads run committed e10 cells (indices into
-// harness.E10RowCells): sim-rasync is the restricted-async n=13 row, where
-// Γ falls back to the (f+1)-partition scan and its intersection LPs;
-// sim-approx is the §3.2 approximate n=15 row, whose cost is the AAD/RBC
-// message path of the discrete-event engine.
-const (
-	rasyncCell = 3
-	approxCell = 1
-)
+// approxCell is sim-approx's committed e10 cell, an index into
+// harness.E10RowCells: the §3.2 approximate async row with witnesses,
+// n=15, d=4, f=2, one lure adversary and exponential delays. Its cost is
+// the AAD/RBC message path of the discrete-event engine.
+const approxCell = 1
 
 const (
 	// simPool is how many runs' inputs set-up generates (more than any
 	// run measures; later runs generate their inputs on the fly).
 	simPool = 1024
-	// setupRepeats is how many times a run repeats its set-up; setup_s
+	// simSetupRepeats is how many times a run repeats its set-up; setup_s
 	// reports the median. Each repetition starts after a forced GC, so it
 	// does not pay for the previous one's garbage.
-	setupRepeats = 15
+	simSetupRepeats = 31
+	// simWarmup is how many unmeasured runs precede the measurement.
+	simWarmup = 5
 )
 
-// simCell is one simulated workload: the cell's configuration, adversary
-// set and delay model, resolved the way the harness's sweep runner
-// resolves them.
+// simCell is the simulated workload: the cell's configuration, adversary
+// and delay model, resolved the way the harness's sweep runner resolves
+// them.
 type simCell struct {
 	cell   harness.SweepCell
-	approx bool
 	cfg    bvc.Config
 	budget harness.RoundBudget
 	delay  bvc.DelaySpec
 	byz    []bvc.Byzantine
-	// k is the Γ multiset size of one candidate set: n−f for the §3.2
-	// algorithm, n−3f for the restricted one.
+	// k is the Γ multiset size of one candidate set: n−f.
 	k int
-	// warmup is how many unmeasured runs precede the measurement.
-	warmup int
 }
 
-func newSimCell(idx int) (*simCell, error) {
-	c, err := harness.E10RowCells[idx].Normalize()
+func newSimCell() (*simCell, error) {
+	c, err := harness.E10RowCells[approxCell].Normalize()
 	if err != nil {
 		return nil, err
 	}
-	sc := &simCell{cell: c, approx: c.Variant == "approx"}
-	v := bvc.RestrictedAsync
-	sc.k, sc.warmup = c.N-3*c.F, 1
-	switch c.Variant {
-	case "approx":
-		v = bvc.ApproxAsync
-		sc.k, sc.warmup = c.N-c.F, 5
-	case "rasync":
-	default:
-		return nil, fmt.Errorf("e10 cell %d is %q, not an asynchronous variant", idx, c.Variant)
+	if c.Variant != "approx" || c.Delay != "exponential" || c.Adversary != "lure" {
+		return nil, fmt.Errorf("e10 cell %d is %s/%s/%s, not approx/exponential/lure", approxCell, c.Variant, c.Delay, c.Adversary)
 	}
-	sc.budget = harness.GammaBudget(v, c.N, c.F, 1, c.Epsilon, sc.approx)
+	sc := &simCell{cell: c, k: c.N - c.F}
+	sc.budget = harness.GammaBudget(bvc.ApproxAsync, c.N, c.F, 1, c.Epsilon, true)
 	sc.cfg = bvc.Config{
 		N: c.N, F: c.F, D: c.D,
 		Epsilon:             c.Epsilon,
 		Lo:                  []float64{0},
 		Hi:                  []float64{1},
-		WitnessOptimization: sc.approx,
+		WitnessOptimization: true,
 	}
 	if !sc.budget.Full {
 		sc.cfg.MaxRounds = sc.budget.Rounds
 	}
-	switch c.Delay {
-	case "exponential":
-		sc.delay = bvc.DelaySpec{Kind: bvc.DelayExponential, Mean: 3 * time.Millisecond}
-	case "shiftedexp":
-		sc.delay = bvc.DelaySpec{Kind: bvc.DelayShiftedExp, Min: time.Millisecond, Mean: 3 * time.Millisecond}
-	default:
-		return nil, fmt.Errorf("e10 cell %d: unsupported delay %q", idx, c.Delay)
+	sc.delay = bvc.DelaySpec{Kind: bvc.DelayExponential, Mean: 3 * time.Millisecond}
+	one := make(bvc.Vector, c.D)
+	for i := range one {
+		one[i] = 1
 	}
-	lo, hi, one := make(bvc.Vector, c.D), make(bvc.Vector, c.D), make(bvc.Vector, c.D)
-	for i := range lo {
-		lo[i], hi[i], one[i] = -3, 7, 1
-	}
-	switch c.Adversary {
-	case "mixed":
-		// All f slots, rotating equivocate/silent/lure from the top id.
-		strategies := []bvc.Strategy{bvc.StrategyEquivocate, bvc.StrategySilent, bvc.StrategyLure}
-		for k := 0; k < c.F; k++ {
-			b := bvc.Byzantine{ID: c.N - 1 - k, Strategy: strategies[k%len(strategies)]}
-			switch b.Strategy {
-			case bvc.StrategyEquivocate:
-				b.Target, b.Target2 = lo, hi
-			case bvc.StrategyLure:
-				b.Target = hi
-			}
-			sc.byz = append(sc.byz, b)
-		}
-	case "lure":
-		sc.byz = []bvc.Byzantine{{ID: c.N - 1, Strategy: bvc.StrategyLure, Target: one}}
-	default:
-		return nil, fmt.Errorf("e10 cell %d: unsupported adversary %q", idx, c.Adversary)
-	}
+	sc.byz = []bvc.Byzantine{{ID: c.N - 1, Strategy: bvc.StrategyLure, Target: one}}
 	return sc, nil
 }
 
@@ -137,23 +99,24 @@ func (sc *simCell) runInputs(pool [][]bvc.Vector, seed int64, i int) []bvc.Vecto
 	return sc.inputs(runSeed(seed, i))
 }
 
-// simulate runs the cell once through the public API. The Γ memo is
+// simulate runs the cell once through the public API, stepping nodes and
+// solving Γ-points serially (Workers and NodeWorkers 1; decisions are
+// bit-identical for every setting). On a 2-CPU host shared with other
+// work, the parallel engine's wall time follows whatever else holds the
+// second CPU, while a serial run measures the work itself. On this cell
+// serial stepping is also faster: its 82,800 small deliveries cost more
+// to fan out across workers than to run. The traced run times the
+// parallel paths apart (sim.parallel_ms_per_op).
+func (sc *simCell) simulate(inputs []bvc.Vector, seed int64) (*bvc.Result, error) {
+	return sc.simulateWith(inputs, bvc.SimOptions{Seed: seed, Delay: sc.delay, Workers: 1, NodeWorkers: 1})
+}
+
+// simulateWith runs the cell with the given options. The Γ memo is
 // emptied first, so every run starts cold and no run is served by a
 // previous run's (or a replay's) solves.
-//
-// Runs step nodes and solve Γ-points serially (Workers and NodeWorkers 1;
-// decisions are bit-identical for every setting). On a 2-CPU host shared
-// with other work, the parallel engine's wall time follows whatever else
-// holds the second CPU, while a serial run measures the work itself. On
-// the approx cell serial stepping is also faster: its 82,800 small
-// deliveries cost more to fan out across workers than to run.
-func (sc *simCell) simulate(inputs []bvc.Vector, seed int64) (*bvc.Result, error) {
+func (sc *simCell) simulateWith(inputs []bvc.Vector, opts bvc.SimOptions) (*bvc.Result, error) {
 	bvc.ResetEngineCaches()
-	opts := bvc.SimOptions{Seed: seed, Delay: sc.delay, Workers: 1, NodeWorkers: 1}
-	if sc.approx {
-		return bvc.SimulateApproxAsync(sc.cfg, inputs, sc.byz, opts)
-	}
-	return bvc.SimulateRestrictedAsync(sc.cfg, inputs, sc.byz, opts)
+	return bvc.SimulateApproxAsync(sc.cfg, inputs, sc.byz, opts)
 }
 
 // verify applies the cell's harness verify mode: ε-agreement and validity
@@ -227,38 +190,39 @@ func (sc *simCell) runChecked(o options, pool [][]bvc.Vector, i int) (simRun, er
 	return run, nil
 }
 
-// runSim drives one sim workload: repeated set-up, warmup runs, then
+// runSim drives the sim workload: repeated set-up, warmup runs, then
 // verified runs back to back for the measured time. ops_per_s and the
 // latencies count only the Simulate calls, not the checks between them.
-func runSim(o options, idx int) (*outcome, error) {
-	sc, err := newSimCell(idx)
+func runSim(o options) (*outcome, error) {
+	sc, err := newSimCell()
 	if err != nil {
 		return nil, err
 	}
 	// One P for the whole sim workload, the collector included: a serial
 	// run then needs one CPU and no longer waits whenever other work holds
 	// the host's second one.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
 	var setups []time.Duration
 	var pool [][]bvc.Vector
-	for r := 0; r < setupRepeats; r++ {
+	for r := 0; r < simSetupRepeats; r++ {
 		runtime.GC()
 		t0 := time.Now()
 		pool = sc.inputPool(o.seed)
 		setups = append(setups, time.Since(t0))
 	}
 	if o.trace {
-		return traceSim(o, sc, pool)
+		return traceSim(o, sc, pool, procs)
 	}
 	out := &outcome{}
-	for i := 0; i < sc.warmup; i++ {
+	for i := 0; i < simWarmup; i++ {
 		_, err := sc.runChecked(o, pool, i)
 		out.tally.record(err)
 	}
 	runtime.GC() // start the measurement without the warmup's garbage
 	var m measure
 	deadline := time.Now().Add(seconds(o.seconds))
-	for i := sc.warmup; time.Now().Before(deadline); i++ {
+	for i := simWarmup; time.Now().Before(deadline); i++ {
 		run, err := sc.runChecked(o, pool, i)
 		out.tally.record(err)
 		m.wall += run.wall
@@ -270,7 +234,7 @@ func runSim(o options, idx int) (*outcome, error) {
 	}
 	out.metrics = endToEndMetrics(m, setups)
 	out.notes = append(out.notes, fmt.Sprintf("%s: %d verified runs (+%d warmup), %d latency samples, verify mode %s",
-		harness.E10RowName(sc.cell), m.ops, sc.warmup, len(m.lat), sc.verifyMode()))
+		harness.E10RowName(sc.cell), m.ops, simWarmup, len(m.lat), sc.verifyMode()))
 	return out, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro"
@@ -115,89 +116,38 @@ func (sc *simCell) params() core.Params {
 	}
 }
 
-// assemble builds the cell's node stack for one run, wrapped for tracing.
+// assemble builds the cell's node stack for one run, wrapped for
+// tracing: §3.2 async nodes with witnesses for the correct processes, the
+// library's async lure strategy for the Byzantine ones.
 func (sc *simCell) assemble(tr *tracer, inputs []bvc.Vector) (*tracedRun, error) {
-	n := sc.cfg.N
+	c := sc.cfg
 	isByz := make(map[int]bvc.Byzantine, len(sc.byz))
 	for _, b := range sc.byz {
 		isByz[b.ID] = b
 	}
-	run := &tracedRun{nodes: make([]*tracedNode, n)}
+	run := &tracedRun{nodes: make([]*tracedNode, c.N)}
 	p := sc.params()
 	rounds := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < c.N; i++ {
 		if _, ok := isByz[i]; ok {
 			continue
 		}
-		in := geometry.Vector(inputs[i]).Clone()
-		tn := &tracedNode{tr: tr}
-		if sc.approx {
-			nd, err := core.NewAsyncNode(core.AsyncConfig{Params: p, WitnessOpt: true, MaxRounds: sc.cfg.MaxRounds}, sim.ProcID(i), in)
-			if err != nil {
-				return nil, err
-			}
-			tn.inner, tn.decided = nd, nd.Decided
-			run.decisions = append(run.decisions, nd.Decision)
-			rounds = max(rounds, nd.Rounds())
-		} else {
-			nd, err := core.NewRestrictedAsyncNode(p, sim.ProcID(i), in)
-			if err != nil {
-				return nil, err
-			}
-			tn.inner, tn.decided = nd, nd.Doneish
-			run.decisions = append(run.decisions, nd.Decision)
-			rounds = max(rounds, nd.Rounds())
+		nd, err := core.NewAsyncNode(core.AsyncConfig{Params: p, WitnessOpt: true, MaxRounds: c.MaxRounds}, sim.ProcID(i), geometry.Vector(inputs[i]).Clone())
+		if err != nil {
+			return nil, err
 		}
-		run.nodes[i] = tn
+		run.nodes[i] = &tracedNode{inner: nd, decided: nd.Decided, tr: tr}
+		run.decisions = append(run.decisions, nd.Decision)
+		rounds = max(rounds, nd.Rounds())
 	}
 	for id, b := range isByz {
-		adv, err := sc.adversary(b, rounds)
+		adv, err := adversary.NewAsyncLure(c.N, c.F, c.D, rounds, sim.ProcID(id), geometry.Vector(b.Target).Clone())
 		if err != nil {
 			return nil, err
 		}
 		run.nodes[id] = &tracedNode{inner: adv, byz: true, tr: tr}
 	}
 	return run, nil
-}
-
-// adversary mirrors the library's mapping of the cell's Byzantine
-// strategies onto adversary nodes.
-func (sc *simCell) adversary(b bvc.Byzantine, rounds int) (sim.Node, error) {
-	c := sc.cfg
-	switch {
-	case b.Strategy == bvc.StrategySilent:
-		return adversary.SilentAsync{}, nil
-	case sc.approx && b.Strategy == bvc.StrategyLure:
-		return adversary.NewAsyncLure(c.N, c.F, c.D, rounds, sim.ProcID(b.ID), geometry.Vector(b.Target).Clone())
-	case !sc.approx && (b.Strategy == bvc.StrategyEquivocate || b.Strategy == bvc.StrategyLure):
-		ta := geometry.Vector(b.Target).Clone()
-		tb := ta
-		if b.Strategy == bvc.StrategyEquivocate {
-			tb = geometry.Vector(b.Target2).Clone()
-		}
-		n, equivocate := c.N, b.Strategy == bvc.StrategyEquivocate
-		return &adversary.FuncAsync{OnInit: func(api sim.API) {
-			for t := 1; t <= rounds; t++ {
-				for to := 0; to < n; to++ {
-					v := ta
-					if equivocate && to >= n/2 {
-						v = tb
-					}
-					api.Send(sim.ProcID(to), core.StateMsg{Round: t, Value: v.Clone()})
-				}
-			}
-		}}, nil
-	default:
-		return nil, fmt.Errorf("strategy %d is not part of the cell", b.Strategy)
-	}
-}
-
-// delayModel mirrors bvc.DelaySpec's conversion for the cell's delays.
-func (sc *simCell) delayModel() sim.DelayModel {
-	if sc.delay.Kind == bvc.DelayShiftedExp {
-		return sim.ShiftedExponentialDelay{Floor: sc.delay.Min, TailMean: sc.delay.Mean}
-	}
-	return sim.ExponentialDelay{Mean: sc.delay.Mean}
 }
 
 // simulateTraced runs one traced execution and returns its correct
@@ -215,7 +165,7 @@ func (sc *simCell) simulateTraced(tr *tracer, inputs []bvc.Vector, seed int64) (
 	for i, nd := range run.nodes {
 		nodes[i] = nd
 	}
-	eng, err := sim.NewEngine(sim.Config{N: sc.cfg.N, Seed: seed, Delay: sc.delayModel(), NodeWorkers: 1}, nodes)
+	eng, err := sim.NewEngine(sim.Config{N: sc.cfg.N, Seed: seed, Delay: sim.ExponentialDelay{Mean: sc.delay.Mean}, NodeWorkers: 1}, nodes)
 	if err != nil {
 		return nil, root, nil, err
 	}
@@ -256,19 +206,21 @@ func bitIdentical(a, b [][]float64) bool {
 	return true
 }
 
-// traceSim is the traced run of a sim workload. It runs the same seeds
-// twice: untraced through bvc.Simulate* (for the Γ and runtime counters,
-// the reference decisions and the overhead baseline), then traced through
-// the assembled stack, then replays the kernels on Γ-sized multisets drawn
-// from the untraced runs' histories.
-func traceSim(o options, sc *simCell, pool [][]bvc.Vector) (*outcome, error) {
+// traceSim is the traced run of the sim workload. It runs the same seeds
+// three times: untraced and serial through bvc.SimulateApproxAsync (for
+// the Γ and runtime counters, the reference decisions and the overhead
+// baseline), traced through the assembled stack, and through the
+// library's default parallel engine with GOMAXPROCS back at procs. Then
+// it replays the kernels on Γ-sized multisets drawn from the untraced
+// runs' histories.
+func traceSim(o options, sc *simCell, pool [][]bvc.Vector, procs int) (*outcome, error) {
 	out := &outcome{metrics: zeroLayers()}
-	for i := 0; i < sc.warmup; i++ {
+	for i := 0; i < simWarmup; i++ {
 		_, err := sc.runChecked(o, pool, i)
 		out.tally.record(err)
 	}
 	phase := seconds(o.seconds * 0.4)
-	first := sc.warmup
+	first := simWarmup
 
 	// Untraced phase.
 	var (
@@ -356,6 +308,36 @@ func traceSim(o options, sc *simCell, pool [][]bvc.Vector) (*outcome, error) {
 	out.metrics["sim.self_ms_per_op"] = perOp(ms(selfSum), tracedOK)
 	// Mean traced run time over mean untraced run time, same seeds.
 	out.metrics["bench.trace_overhead"] = ratio(perOp(float64(traced), tracedOK), perOp(float64(untraced), runs))
+
+	// Parallel phase: the first of the same seeds through the library's
+	// default engine (Workers and NodeWorkers 0, so the Γ fan-out and the
+	// node stepping use every P), which the serial gated runs never reach.
+	runtime.GOMAXPROCS(procs)
+	var parallel time.Duration
+	parallelOK := 0
+	end = time.Now().Add(seconds(o.seconds * 0.1))
+	for r := 0; r < runs && (parallelOK == 0 || time.Now().Before(end)); r++ {
+		if refs[r] == nil {
+			continue // the serial run failed and was counted
+		}
+		i := first + r
+		t0 := time.Now()
+		res, err := sc.simulateWith(sc.runInputs(pool, o.seed, i), bvc.SimOptions{Seed: runSeed(o.seed, i), Delay: sc.delay})
+		took := time.Since(t0)
+		switch {
+		case err != nil:
+			out.tally.record(fmt.Errorf("parallel run %d: %w", i, err))
+			continue
+		case !bitIdentical(res.Decisions(), refs[r]):
+			out.tally.record(fmt.Errorf("parallel run %d: decisions differ from the serial run", i))
+			continue
+		}
+		out.tally.record(nil)
+		parallel += took
+		parallelOK++
+	}
+	runtime.GOMAXPROCS(1)
+	out.metrics["sim.parallel_ms_per_op"] = perOp(ms(parallel), parallelOK)
 
 	for name, v := range replayKernels(samples, sc.cfg.F, seconds(o.seconds*0.15), &out.tally) {
 		out.metrics[name] = v

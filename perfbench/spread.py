@@ -62,7 +62,7 @@ def main():
             spread = (q3 - q1) / med if med else 0.0
             bound = bounds.get(name)
             flag = ""
-            if bound is not None and name != "setup_s":
+            if bound is not None:
                 flag = "ok" if spread < bound / 3 else ("WITHIN BOUND" if spread <= bound else "OVER BOUND")
             summary[name] = {"median": med, "q1": q1, "q3": q3, "spread": spread}
             print(f"  {name:32s} median {med:12.6g}  spread {spread:7.2%}"

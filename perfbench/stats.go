@@ -30,27 +30,6 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// windowedP99 returns the median, over consecutive equal windows of the
-// samples (in the order the ops finished), of each window's p99. It uses
-// as many windows, up to ten, as leave every window at least 100 samples;
-// with fewer than 200 samples it is the plain p99. Slow ops come in
-// bursts (a GC cycle, a neighbour on the host's other CPU): a burst moves
-// one window's p99, not the metric, while the plain p99 of a 1,000-op run
-// is the 10th-slowest op and jumps with the number of bursts.
-func windowedP99(samples []float64) float64 {
-	k := min(max(len(samples)/100, 1), 10)
-	n := len(samples) / k
-	p99s := make([]float64, 0, k)
-	for w := 0; w < k; w++ {
-		hi := (w + 1) * n
-		if w == k-1 {
-			hi = len(samples)
-		}
-		p99s = append(p99s, percentile(sortedCopy(samples[w*n:hi]), 0.99))
-	}
-	return percentile(sortedCopy(p99s), 0.5)
-}
-
 // sortedCopy returns values sorted ascending, leaving the input alone.
 func sortedCopy(values []float64) []float64 {
 	out := append([]float64(nil), values...)
