@@ -186,7 +186,7 @@ func TestSmoke(t *testing.T) {
 }
 
 // TestTracedSimBitIdentical checks that the assembled, traced stack
-// decides bit-identically to bvc.Simulate* on the same seed.
+// decides bit-identically to bvc.SimulateApproxAsync on the same seed.
 func TestTracedSimBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated runs")

@@ -37,8 +37,8 @@ const (
 	capacityWarmup = 1500
 	// liveSetupRepeats is how many meshes a run builds; setup_s reports
 	// the median. One set-up takes about 5 ms and single ones scatter
-	// from 3.5 to 15 ms with whatever else the host runs: the median of
-	// 15 moved 30% between runs, the median of 101 under 10%.
+	// from 3.5 to 15 ms with whatever else the host runs, so a median of
+	// few moves with the host (README.md, "Steadiness").
 	liveSetupRepeats = 101
 	// kernelInstances is how many traced instances feed the kernel replays.
 	kernelInstances = 64

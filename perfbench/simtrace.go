@@ -17,12 +17,12 @@ import (
 	"repro/internal/sim"
 )
 
-// The traced sim run has to see node callbacks, which bvc.Simulate* does
-// not expose, so it assembles the same stack from the exported
-// constructors — core nodes, adversary strategies, sim.NewEngine — with
-// every node wrapped in a tracedNode. Its decisions must be bit-identical
-// to the untraced bvc.Simulate* run of the same seed, or the trace is
-// void (and counted as a failure).
+// The traced sim run has to see node callbacks, which
+// bvc.SimulateApproxAsync does not expose, so it assembles the same stack
+// from the exported constructors — core nodes, the lure strategy,
+// sim.NewEngine — with every node wrapped in a tracedNode. Its decisions
+// must be bit-identical to the untraced bvc.SimulateApproxAsync run of the
+// same seed, or the trace is void (and counted as a failure).
 
 // Span names of the sim workloads.
 const (
