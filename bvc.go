@@ -14,9 +14,10 @@
 //   - the coordinate-wise scalar-consensus baseline the paper's
 //     introduction warns about,
 //   - deterministic simulation (seeded adversarial schedules, Byzantine
-//     behaviour library, execution verification), and
-//   - live execution of the asynchronous algorithms over in-process
-//     goroutine meshes or TCP,
+//     behaviour library, execution verification),
+//   - live execution of the asynchronous approximate algorithm on the
+//     multi-tenant consensus service over TCP (Service, and
+//     RunAsyncCluster for one instance on a loopback mesh), and
 //   - the underlying computational geometry: safe areas Γ(Y), convex-hull
 //     membership, Radon and Tverberg partitions.
 //

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -330,75 +331,85 @@ func TestRadonPartitionAPI(t *testing.T) {
 }
 
 func TestRunAsyncCluster(t *testing.T) {
-	cfg := bvc.Config{N: 4, F: 1, D: 1, Epsilon: 0.2, Lo: []float64{0}, Hi: []float64{1}}
-	inputs := []bvc.Vector{{0}, {1}, {0.5}, {0.25}}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	decisions, err := bvc.RunAsyncCluster(ctx, cfg, inputs)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		cfg    bvc.Config
+		inputs []bvc.Vector
+	}{
+		{"d1", bvc.Config{N: 4, F: 1, D: 1, Epsilon: 0.2, Lo: []float64{0}, Hi: []float64{1}},
+			[]bvc.Vector{{0}, {1}, {0.5}, {0.25}}},
+		// n = 5 = (d+2)f+1 is exactly the §3.2 bound for d = 2, f = 1.
+		{"d2", bvc.Config{N: 5, F: 1, D: 2, Epsilon: 0.05, Lo: []float64{0}, Hi: []float64{1}},
+			[]bvc.Vector{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.3, 0.6}}},
 	}
-	if len(decisions) != cfg.N {
-		t.Fatalf("decisions = %d", len(decisions))
-	}
-	for i := 1; i < len(decisions); i++ {
-		if math.Abs(decisions[i][0]-decisions[0][0]) > cfg.Epsilon {
-			t.Errorf("ε-agreement violated on live cluster: %v", decisions)
-		}
-	}
-	for _, d := range decisions {
-		if d[0] < 0 || d[0] > 1 {
-			t.Errorf("decision %v outside input hull", d)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			base := runtime.NumGoroutine()
+			decisions, err := bvc.RunAsyncCluster(ctx, tc.cfg, tc.inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, base)
+			if len(decisions) != tc.cfg.N {
+				t.Fatalf("decisions = %d", len(decisions))
+			}
+			for i, d := range decisions {
+				for j := range d {
+					if math.Abs(d[j]-decisions[0][j]) > tc.cfg.Epsilon {
+						t.Errorf("ε-agreement violated on coordinate %d between processes 0 and %d: %v", j, i, decisions)
+					}
+				}
+				if in, err := bvc.InConvexHull(tc.inputs, d); err != nil || !in {
+					t.Errorf("decision %d = %v outside the input hull (err=%v)", i, d, err)
+				}
+			}
+		})
 	}
 }
 
-func TestRunTCPCluster(t *testing.T) {
-	cfg := bvc.Config{N: 4, F: 1, D: 1, Epsilon: 0.25, Lo: []float64{0}, Hi: []float64{1}}
-	inputs := []bvc.Vector{{0}, {1}, {0.5}, {0.75}}
-	tmpl := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
-	procs := make([]*bvc.TCPProcess, cfg.N)
-	addrs := make([]string, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		p, err := bvc.NewTCPProcess(cfg, i, tmpl, inputs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = p
-		addrs[i] = p.Addr()
+// TestRunAsyncClusterErrors covers the error paths: each must return an
+// error and close every service it started, which shows as the goroutine
+// count returning to its baseline (TestRunAsyncCluster checks the same
+// on success).
+func TestRunAsyncClusterErrors(t *testing.T) {
+	cfg := bvc.Config{N: 4, F: 1, D: 1, Epsilon: 0.2, Lo: []float64{0}, Hi: []float64{1}}
+	inputs := []bvc.Vector{{0}, {1}, {0.5}, {0.25}}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	short, cancelShort := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancelShort()
+	cases := []struct {
+		name   string
+		ctx    context.Context
+		inputs []bvc.Vector
+	}{
+		{"cancelled", cancelled, inputs},
+		{"short", short, inputs},
+		{"input-count", context.Background(), inputs[:3]},
 	}
-	defer func() {
-		for _, p := range procs {
-			_ = p.Close()
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	type outcome struct {
-		id  int
-		dec bvc.Vector
-		err error
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			if _, err := bvc.RunAsyncCluster(tc.ctx, cfg, tc.inputs); err == nil {
+				t.Fatal("no error")
+			}
+			waitGoroutines(t, base)
+		})
 	}
-	ch := make(chan outcome, cfg.N)
-	for i, p := range procs {
-		i, p := i, p
-		go func() {
-			dec, err := p.Run(ctx, addrs)
-			ch <- outcome{id: i, dec: dec, err: err}
-		}()
-	}
-	decisions := make([]bvc.Vector, cfg.N)
-	for k := 0; k < cfg.N; k++ {
-		o := <-ch
-		if o.err != nil {
-			t.Fatalf("process %d: %v", o.id, o.err)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// base within a few seconds.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after return, baseline %d", runtime.NumGoroutine(), base)
 		}
-		decisions[o.id] = o.dec
-	}
-	for i := 1; i < cfg.N; i++ {
-		if math.Abs(decisions[i][0]-decisions[0][0]) > cfg.Epsilon {
-			t.Errorf("ε-agreement violated over TCP: %v", decisions)
-		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

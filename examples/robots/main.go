@@ -5,9 +5,10 @@
 // allowed to operate").
 //
 // Six robots run the asynchronous approximate BVC algorithm live — one
-// goroutine per robot over in-process reliable FIFO channels, real OS
-// scheduling supplying the asynchrony — and converge on a rendezvous point
-// inside the convex hull of their positions, within ε per axis.
+// bvc.Service per robot on a loopback TCP mesh, real OS scheduling and
+// the network stack supplying the asynchrony — and converge on a
+// rendezvous point inside the convex hull of their positions, within ε
+// per axis.
 package main
 
 import (
@@ -22,7 +23,7 @@ import (
 
 func main() {
 	const (
-		robots = 6   // (d+2)f+1 = 6 with d = 3, f = 1... with one spare
+		robots = 6   // exactly the §3.2 bound (d+2)f+1 with d = 3, f = 1
 		arena  = 100 // arena is [0, 100]³ meters
 		eps    = 0.5 // rendezvous tolerance per axis, meters
 	)
@@ -43,7 +44,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("robot rendezvous: asynchronous approximate BVC, live goroutine cluster")
+	fmt.Println("robot rendezvous: asynchronous approximate BVC, live loopback service mesh")
 	for i, p := range positions {
 		fmt.Printf("  robot %d at (%.1f, %.1f, %.1f)\n", i+1, p[0], p[1], p[2])
 	}
@@ -72,9 +73,14 @@ func main() {
 			}
 		}
 	}
-	in, err := bvc.InConvexHull(positions, decisions[0])
-	if err != nil {
-		log.Fatal(err)
+	for i, dec := range decisions {
+		in, err := bvc.InConvexHull(positions, dec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !in {
+			log.Fatalf("robot %d heads outside the swarm's hull", i+1)
+		}
 	}
-	fmt.Printf("rendezvous inside the swarm's hull: %v\n", in)
+	fmt.Println("rendezvous inside the swarm's hull: true")
 }

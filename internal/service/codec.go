@@ -11,10 +11,10 @@ import (
 )
 
 // The service path speaks the binary v2 frame layout (internal/wire,
-// docs/WIRE_FORMAT.md) rather than gob envelopes: frames are
-// instance-multiplexed and the codec below flattens the AAD exchange
-// messages into wire.ConsensusMsg, which encodes to a fixed layout with
-// no reflection and no per-frame type preamble.
+// docs/WIRE_FORMAT.md): frames are instance-multiplexed and the codec
+// below flattens the AAD exchange messages into wire.ConsensusMsg, which
+// encodes to a fixed layout with no reflection and no per-frame type
+// preamble.
 
 // toWire flattens an AAD message into the wire form. The returned message
 // aliases m's vector — encode it before m is mutated (senders encode

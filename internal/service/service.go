@@ -9,9 +9,9 @@
 // The architecture — instance lifecycle, connection pool, framing,
 // backpressure and slow-peer policy, drain/reconfiguration semantics, and
 // the load-test workflow with cmd/bvcload — is documented in
-// docs/SERVICE.md; the frame layout is docs/WIRE_FORMAT.md. The
-// single-tenant path (one TCP mesh per consensus run, gob envelopes)
-// remains in internal/transport + internal/runtime.
+// docs/SERVICE.md; the frame layout is docs/WIRE_FORMAT.md. It is the
+// repository's only live runtime: bvc.RunAsyncCluster runs one instance
+// on a loopback mesh of Services.
 package service
 
 import (

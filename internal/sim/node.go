@@ -7,9 +7,8 @@
 //
 // Algorithms are written as event-driven state machines (Node for
 // asynchronous protocols, SyncNode for synchronous ones). The same Node code
-// also runs on live transports via internal/runtime, mirroring the
-// state-machine-plus-transport architecture of production consensus
-// libraries.
+// also runs live in internal/service, mirroring the state-machine-plus-
+// transport architecture of production consensus libraries.
 package sim
 
 import (

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"io"
 	"testing"
 )
@@ -264,5 +265,48 @@ func TestFrameErrors(t *testing.T) {
 	}
 	if err := DecodeConsensus(&m, []byte{ConsensusReport, 0, 0}); err == nil {
 		t.Error("truncated report: no error")
+	}
+}
+
+func TestReadFrameIntoTooLarge(t *testing.T) {
+	// A length prefix claiming more than MaxFrameSize must be refused
+	// before the body buffer is grown: a hostile peer cannot make the
+	// reader allocate by lying about the length.
+	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	r := bytes.NewReader(hdr)
+	buf := make([]byte, 0, 16)
+	_, newBuf, err := ReadFrameInto(r, buf)
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
+	if cap(newBuf) != cap(buf) {
+		t.Errorf("buffer grown to cap %d on an oversize claim", cap(newBuf))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(hdr)
+		if _, _, err := ReadFrameInto(r, buf); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("oversize claim allocated %.0f times per read", allocs)
+	}
+}
+
+func TestReadFrameIntoTruncatedBody(t *testing.T) {
+	full := AppendHello(nil, 3, 0)
+	// A clean end of stream before a prefix is the shutdown signal and
+	// passes through as the bare io.EOF.
+	if _, _, err := ReadFrameInto(bytes.NewReader(nil), nil); err != io.EOF {
+		t.Errorf("empty stream: err = %v, want io.EOF", err)
+	}
+	// A stream that ends inside a body is a broken frame, not a clean
+	// shutdown: the error is wrapped, whether part of the body arrived
+	// or none of it.
+	for _, cut := range []int{len(full) - 3, 4} {
+		_, _, err := ReadFrameInto(bytes.NewReader(full[:cut]), nil)
+		if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+			t.Errorf("body cut at %d: err = %v, want a wrapped error", cut, err)
+		}
 	}
 }

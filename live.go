@@ -4,121 +4,81 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/internal/core"
-	"repro/internal/geometry"
-	"repro/internal/runtime"
-	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // The synchronous algorithms require lock-step rounds and therefore run on
 // the simulator (Simulate*); the asynchronous algorithms are event-driven
-// and run equally on the simulator and on live transports. This file hosts
-// the live runners: an in-process goroutine mesh and a TCP full mesh.
+// and run equally on the simulator and on the live consensus service
+// (service.go). This file hosts the one-shot live runner.
 
-// RunAsyncCluster runs the §3.2 asynchronous approximate algorithm with one
-// goroutine per process over in-process reliable FIFO channels, and returns
-// the decisions in process order. All processes are correct; Byzantine
-// behaviour and adversarial scheduling belong to the simulator, the OS
-// scheduler supplies real asynchrony here.
+// RunAsyncCluster runs one instance of the §3.2 asynchronous approximate
+// algorithm on a loopback mesh of n Services — one per process, each on
+// its own 127.0.0.1 port — and returns the decisions in process order.
+// All processes are correct; Byzantine behaviour and adversarial
+// scheduling belong to the simulator, the OS scheduler and the loopback
+// TCP stack supply real asynchrony here. Every service is closed before
+// RunAsyncCluster returns, on success and on error alike.
 func RunAsyncCluster(ctx context.Context, cfg Config, inputs []Vector) ([]Vector, error) {
-	acfg, err := cfg.asyncConfig()
-	if err != nil {
-		return nil, err
-	}
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
 	}
-	// Halting at decision keeps the cluster's goroutines finite; it is
-	// always live when every process is correct (and in general for f ≤ 1;
-	// see core.AsyncConfig).
-	acfg.HaltWhenDecided = true
-
-	nodes := make([]sim.Node, cfg.N)
-	impls := make([]*core.AsyncNode, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		nd, err := core.NewAsyncNode(acfg, sim.ProcID(i), toGeometry(inputs[i]))
+	tmpl := make([]string, cfg.N)
+	for i := range tmpl {
+		tmpl[i] = "127.0.0.1:0"
+	}
+	svcs := make([]*Service, 0, cfg.N)
+	defer func() {
+		for _, s := range svcs {
+			_ = s.Close()
+		}
+	}()
+	addrs := make([]string, cfg.N)
+	for i := range tmpl {
+		s, err := NewService(ServiceConfig{Config: cfg, ID: i, Addrs: tmpl, Seed: int64(i + 1)})
 		if err != nil {
 			return nil, fmt.Errorf("bvc: process %d: %w", i, err)
 		}
-		impls[i] = nd
-		nodes[i] = nd
+		svcs = append(svcs, s)
+		addrs[i] = s.Addr()
 	}
-	if err := runtime.RunCluster(ctx, nodes, 1); err != nil {
-		return nil, err
+
+	// Every process dials its lower-id peers and waits for the others, so
+	// the n Establish calls must run concurrently.
+	var wg sync.WaitGroup
+	errs := make([]error, cfg.N)
+	for i, s := range svcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.Establish(ctx, addrs)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("bvc: process %d: establish: %w", i, err)
+		}
+	}
+
+	chans := make([]<-chan ServiceResult, cfg.N)
+	for i, s := range svcs {
+		ch, err := s.Propose(0, inputs[i])
+		if err != nil {
+			return nil, fmt.Errorf("bvc: process %d: %w", i, err)
+		}
+		chans[i] = ch
 	}
 	out := make([]Vector, cfg.N)
-	for i, nd := range impls {
-		dec, err := nd.Decision()
-		if err != nil {
-			return nil, fmt.Errorf("bvc: process %d: %w", i, err)
+	for i, ch := range chans {
+		select {
+		case r := <-ch:
+			if r.Err != nil {
+				return nil, fmt.Errorf("bvc: process %d: %w", i, r.Err)
+			}
+			out[i] = r.Decision
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		out[i] = fromGeometry(dec)
 	}
 	return out, nil
 }
-
-// TCPProcess is one process of a TCP-meshed asynchronous BVC cluster. Use
-// NewTCPProcess on every participating host, exchange listen addresses out
-// of band, then call Run.
-type TCPProcess struct {
-	cfg  Config
-	id   int
-	node *core.AsyncNode
-	tr   *transport.TCPNode
-
-	mu       sync.Mutex
-	decision geometry.Vector
-}
-
-// NewTCPProcess opens the listener for process id (listening on addrs[id],
-// which may use port 0 — see Addr). The mesh is established and the
-// algorithm runs when Run is called.
-func NewTCPProcess(cfg Config, id int, addrs []string, input Vector) (*TCPProcess, error) {
-	acfg, err := cfg.asyncConfig()
-	if err != nil {
-		return nil, err
-	}
-	acfg.HaltWhenDecided = true
-	node, err := core.NewAsyncNode(acfg, sim.ProcID(id), toGeometry(input))
-	if err != nil {
-		return nil, err
-	}
-	tr, err := transport.NewTCP(transport.TCPConfig{ID: id, Addrs: addrs})
-	if err != nil {
-		return nil, err
-	}
-	return &TCPProcess{cfg: cfg, id: id, node: node, tr: tr}, nil
-}
-
-// Addr returns the actual listen address (useful when configured with port
-// 0).
-func (p *TCPProcess) Addr() string { return p.tr.Addr() }
-
-// Run establishes the TCP mesh against the given final address list (nil
-// reuses the construction-time addresses), executes the algorithm until
-// decision or context cancellation, and returns the decided vector.
-func (p *TCPProcess) Run(ctx context.Context, addrs []string) (Vector, error) {
-	if err := p.tr.Establish(ctx, addrs); err != nil {
-		return nil, err
-	}
-	host, err := runtime.NewHost(p.id, p.cfg.N, p.tr, p.node, int64(p.id))
-	if err != nil {
-		return nil, err
-	}
-	if err := host.Run(ctx); err != nil {
-		return nil, err
-	}
-	dec, err := p.node.Decision()
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	p.decision = dec
-	p.mu.Unlock()
-	return fromGeometry(dec), nil
-}
-
-// Close releases the process's network resources.
-func (p *TCPProcess) Close() error { return p.tr.Close() }
