@@ -17,10 +17,11 @@ import (
 // one worker (every candidate set solved from scratch, serially); it is
 // compared against cached executions for workers ∈ {1, 4, GOMAXPROCS},
 // across all four protocol variants × the six adversary strategies,
-// extending the PR 1 (engine options) and PR 2 (node workers) determinism
-// suites. The cached runs must also actually exercise the incremental path
-// (nonzero reuse counters) — a silently cold cache would make this test
-// vacuous.
+// extending the engine-options and node-workers determinism suites. The
+// cached runs must also actually exercise the incremental path: every case
+// shows some reuse, and summed over the adversary cases each variant shows
+// hits on the layer it relies on — a silently cold layer would make this
+// test vacuous for it.
 func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 	workerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
 
@@ -61,6 +62,9 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 		n    int // 0 → tight bound
 		run  func(cfg bvc.Config, inputs []bvc.Vector, byz []bvc.Byzantine, opts bvc.SimOptions) (*bvc.Result, error)
 		cfg  func(n, d, f int) bvc.Config
+		// layers names the reuse counters ("cache", "prefix", "round") that
+		// must be nonzero summed over the variant's adversary cases.
+		layers []string
 	}
 	variants := []variantCase{
 		{
@@ -70,6 +74,7 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 			cfg: func(n, d, f int) bvc.Config {
 				return bvc.Config{N: n, F: f, D: d, Lo: []float64{0}, Hi: []float64{1}}
 			},
+			layers: []string{"cache"},
 		},
 		{
 			// n one above the tight bound keeps the f = 2 candidate sets
@@ -82,6 +87,7 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 			cfg: func(n, d, f int) bvc.Config {
 				return bvc.Config{N: n, F: f, D: d, Epsilon: 0.2, Lo: []float64{0}, Hi: []float64{1}, MaxRounds: 3}
 			},
+			layers: []string{"prefix", "round"},
 		},
 		{
 			// Witness-optimized: candidate sets are the witness prefixes
@@ -92,13 +98,18 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 				return bvc.Config{N: n, F: f, D: d, Epsilon: 0.1, Lo: []float64{0}, Hi: []float64{1},
 					WitnessOptimization: true, MaxRounds: 2}
 			},
+			layers: []string{"prefix"},
 		},
 		{
+			// At the tight bound n = d+5 every candidate set has n−3f = d+2
+			// members, the whole Radon prefix, so the full-multiset memo
+			// does the reuse.
 			name: "restricted_async", d: 2, f: 1,
 			run: bvc.SimulateRestrictedAsync,
 			cfg: func(n, d, f int) bvc.Config {
 				return bvc.Config{N: n, F: f, D: d, Epsilon: 0.25, Lo: []float64{0}, Hi: []float64{1}, MaxRounds: 3}
 			},
+			layers: []string{"cache"},
 		},
 	}
 
@@ -114,6 +125,8 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 			n = bvc.MinProcesses(variant, vc.d, vc.f)
 		}
 		cfg := vc.cfg(n, vc.d, vc.f)
+		var total bvc.GammaCounters
+		ran := 0
 		for _, adv := range adversaries {
 			byz := adv.mk(n, vc.d)
 			inputs := make([]bvc.Vector, n)
@@ -128,6 +141,7 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 				inputs[b.ID] = nil
 			}
 			t.Run(fmt.Sprintf("%s/%s", vc.name, adv.name), func(t *testing.T) {
+				ran++
 				logReplayOnFailure(t, 23, 11, cfg,
 					fmt.Sprintf(" delay=uniform[1ms,7ms] adversary=%s workers=%v", adv.name, workerSets))
 				// From-scratch reference: cache off, serial.
@@ -139,6 +153,9 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 				}
 				want := fingerprint(t, ref)
 
+				// Start cold, so a repeated run (-count) exercises the
+				// per-set layers instead of replaying round-memo hits.
+				bvc.ResetEngineCaches()
 				reused := false
 				for _, workers := range workerSets {
 					before := bvc.EngineGammaCounters()
@@ -150,6 +167,9 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 					}
 					requireSameFingerprint(t, fmt.Sprintf("incremental workers=%d", workers), want, fingerprint(t, res))
 					delta := bvc.EngineGammaCounters().Sub(before)
+					total.CacheHits += delta.CacheHits
+					total.PrefixHits += delta.PrefixHits
+					total.RoundHits += delta.RoundHits
 					if delta.CacheHits+delta.PrefixHits+delta.RoundHits > 0 {
 						reused = true
 					}
@@ -159,5 +179,16 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 				}
 			})
 		}
+		t.Run(vc.name+"/layers", func(t *testing.T) {
+			if ran < len(adversaries) {
+				t.Skipf("%d of %d adversary cases ran", ran, len(adversaries))
+			}
+			hits := map[string]uint64{"cache": total.CacheHits, "prefix": total.PrefixHits, "round": total.RoundHits}
+			for _, layer := range vc.layers {
+				if hits[layer] == 0 {
+					t.Errorf("no %s hits summed over the adversary cases (hits %v)", layer, hits)
+				}
+			}
+		})
 	}
 }

@@ -12,9 +12,7 @@ import "sync/atomic"
 //     candidate sets across processes and rounds);
 //   - PrefixHits: sub-family reuse — candidate sets that shared the
 //     method-dependent prefix (first d+2 members for the Radon path, first
-//     (d+1)f+1 for the Tverberg lift) of an already-solved sibling, plus
-//     Radon-family delta reuse (restricted-async f = 1: subset points
-//     carried over between B sets differing in a single member);
+//     (d+1)f+1 for the Tverberg lift) of an already-solved sibling;
 //   - RoundHits: whole-round hits — AverageGamma calls whose entire
 //     canonical (origin-sorted) tuple set was already reduced: identical
 //     inboxes across processes, including restricted-async B sets that

@@ -41,31 +41,6 @@ type Engine struct {
 	mu     sync.Mutex
 	memo   map[string]*gammaEntry
 	ziMemo map[string]*ziEntry
-
-	// Radon-family cache (restricted-async f = 1 regime): per-B-set subset
-	// walks keyed by the canonical member-value sequence, with a drop-one
-	// sub-key index so a new B set can be built as a single-member delta of
-	// a sibling's family (safearea.RadonFamily), reusing the untouched
-	// subsets' points outright.
-	fams   map[string]*famEntry
-	famSub map[string]famRef
-}
-
-// famEntry is one cached RadonFamily build (compute under once, like the
-// Γ-point entries).
-type famEntry struct {
-	once sync.Once
-	fam  *safearea.RadonFamily
-	mean geometry.Vector
-	n    int
-	err  error
-}
-
-// famRef locates a family that contains a given drop-one sub-pool: the
-// family's cache key plus the dropped slot.
-type famRef struct {
-	key  string
-	slot int
 }
 
 // maxMemoEntries bounds the memoization table; exceeding it drops the whole
@@ -75,7 +50,6 @@ type famRef struct {
 const (
 	maxMemoEntries = 1 << 15
 	maxZiEntries   = 1 << 12
-	maxFamEntries  = 1 << 8
 )
 
 type gammaEntry struct {
@@ -110,8 +84,6 @@ func NewEngine(workers int, memoize bool) *Engine {
 	if memoize {
 		e.memo = make(map[string]*gammaEntry)
 		e.ziMemo = make(map[string]*ziEntry)
-		e.fams = make(map[string]*famEntry)
-		e.famSub = make(map[string]famRef)
 	}
 	return e
 }
@@ -135,8 +107,6 @@ func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.memo = make(map[string]*gammaEntry)
 	e.ziMemo = make(map[string]*ziEntry)
-	e.fams = make(map[string]*famEntry)
-	e.famSub = make(map[string]famRef)
 	e.mu.Unlock()
 }
 
@@ -193,21 +163,32 @@ func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) 
 	for i := 0; i < y.Len(); i++ {
 		key = geometry.AppendKey(key, y.At(i))
 	}
+	pt, err := e.memoPoint(key, func() (geometry.Vector, error) {
+		return safearea.PointWith(y, f, method)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pt.Clone(), nil
+}
+
+// memoPoint computes (or recalls) the full-multiset memo entry under key,
+// running solve on a miss. A hit counts only when the entry holds a point:
+// a recalled error saved no solve. The returned vector is shared with the
+// memo table and must not be mutated.
+func (e *Engine) memoPoint(key []byte, solve func() (geometry.Vector, error)) (geometry.Vector, error) {
 	ent := e.entry(key)
 	fresh := false
 	ent.once.Do(func() {
 		fresh = true
-		ent.pt, ent.err = safearea.PointWith(y, f, method)
+		ent.pt, ent.err = solve()
 	})
 	if fresh {
 		gammaStats.solves.Add(1)
-	} else {
+	} else if ent.err == nil {
 		gammaStats.cacheHits.Add(1)
 	}
-	if ent.err != nil {
-		return nil, ent.err
-	}
-	return ent.pt.Clone(), nil
+	return ent.pt, ent.err
 }
 
 // gammaScratch is one worker's reusable state for per-candidate-set
@@ -310,18 +291,9 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 		key = geometry.AppendKey(key, tp.value)
 	}
 	sc.key = key
-	ent := sc.e.entry(key)
-	fresh := false
-	ent.once.Do(func() {
-		fresh = true
-		ent.pt, ent.err = gammaPointOfSorted(sel, sc.f, sc.method)
+	return sc.e.memoPoint(key, func() (geometry.Vector, error) {
+		return gammaPointOfSorted(sel, sc.f, sc.method)
 	})
-	if fresh {
-		gammaStats.solves.Add(1)
-	} else if ent.err == nil {
-		gammaStats.cacheHits.Add(1)
-	}
-	return ent.pt, ent.err
 }
 
 // ziKeyTag separates round-level AverageGamma memo keys from per-set keys.
@@ -397,14 +369,6 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 // averageGammaCompute is the uncached reduction behind AverageGamma.
 // tuples are origin-sorted (canonical).
 func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.Method, d int) (geometry.Vector, int, error) {
-	if e.memoize && k == d+2 && len(tuples) > k &&
-		safearea.Resolve(k, d, f, method) == safearea.MethodRadon {
-		// Radon regime (restricted-async f = 1 at the shared-subset
-		// bound): candidate sets are exactly prefix-sized, so neither the
-		// sub-family nor the per-set memo can share work across B-set
-		// deltas — the per-B-set incremental family walk does.
-		return e.radonFamilyMean(tuples, k, f, method, d)
-	}
 	n := len(tuples)
 	total := combin.Binomial(n, k)
 	workers := e.workers
@@ -474,112 +438,6 @@ func (e *Engine) averageGammaSerial(tuples []tuple, k, f int, method safearea.Me
 		return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", gerr)
 	}
 	return meanOf(points)
-}
-
-// famKeyTag separates Radon-family keys from the other memo key spaces.
-const famKeyTag = byte('B')
-
-// famKey builds the family cache key of the canonical pool, optionally
-// skipping one slot (skip < 0 keys the full pool; otherwise the drop-one
-// sub-key used for delta probing).
-func famKey(dst []byte, tuples []tuple, d, f int, method safearea.Method, skip int) []byte {
-	dst = appendMeta(dst, d, f, method)
-	dst = append(dst, famKeyTag)
-	for i, tp := range tuples {
-		if i == skip {
-			continue
-		}
-		dst = geometry.AppendKey(dst, tp.value)
-	}
-	return dst
-}
-
-// radonFamilyMean reduces one canonical B set through the Radon-family
-// cache: an identical pool reuses the finished family outright; a pool
-// differing from a cached sibling in one member is built as a delta
-// (reused subset points count as prefix hits); only a pool with no cached
-// relative is solved from scratch. Results are bit-identical to the plain
-// subset walk — the family stores the identical points in the identical
-// order.
-func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Method, d int) (geometry.Vector, int, error) {
-	key := string(famKey(make([]byte, 0, 10+8*len(tuples)*d), tuples, d, f, method, -1))
-	e.mu.Lock()
-	ent, ok := e.fams[key]
-	if !ok {
-		if len(e.fams) >= maxFamEntries {
-			e.fams = make(map[string]*famEntry)
-			e.famSub = make(map[string]famRef)
-		}
-		ent = &famEntry{}
-		e.fams[key] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		vals := make([]geometry.Vector, len(tuples))
-		for i, tp := range tuples {
-			vals[i] = tp.value
-		}
-		// Delta probe: find a finished sibling family missing exactly one
-		// of our members (and holding one we lack). Sub-keys are only
-		// registered after a family finishes building, so a hit is safe to
-		// read without its lock.
-		var (
-			prev *safearea.RadonFamily
-			iNew = -1
-			jOld = -1
-		)
-		sub := make([]byte, 0, 10+8*len(tuples)*d)
-		e.mu.Lock()
-		for i := range tuples {
-			sub = famKey(sub[:0], tuples, d, f, method, i)
-			if ref, ok := e.famSub[string(sub)]; ok {
-				if pe, ok := e.fams[ref.key]; ok && pe.fam != nil {
-					prev, iNew, jOld = pe.fam, i, ref.slot
-					break
-				}
-			}
-		}
-		e.mu.Unlock()
-		var (
-			fam            *safearea.RadonFamily
-			reused, solved int
-			err            error
-		)
-		if prev != nil {
-			fam, reused, solved, err = safearea.NewRadonFamilyFrom(prev, vals, iNew, jOld, f, k, method)
-		} else {
-			fam, solved, err = safearea.NewRadonFamily(vals, f, k, method)
-		}
-		gammaStats.solves.Add(uint64(solved))
-		gammaStats.prefixHits.Add(uint64(reused))
-		if err != nil {
-			ent.err = err
-			return
-		}
-		mean, count, merr := fam.MeanPoint()
-		ent.mean, ent.n, ent.err = mean, count, merr
-		if merr != nil {
-			return
-		}
-		// Publish the family and register the drop-one sub-keys under the
-		// lock: delta probes read pe.fam under e.mu, and after a
-		// bound-triggered cache clear a probe can reach a RECREATED entry
-		// for this key while this builder is still finishing — the locked
-		// publication keeps that visibility race out of the memory model.
-		// Last registration wins; any finished family with the same
-		// sub-pool yields identical reused points.
-		e.mu.Lock()
-		ent.fam = fam
-		for i := range tuples {
-			sub = famKey(sub[:0], tuples, d, f, method, i)
-			e.famSub[string(sub)] = famRef{key: key, slot: i}
-		}
-		e.mu.Unlock()
-	})
-	if ent.err != nil {
-		return nil, 0, ent.err
-	}
-	return ent.mean.Clone(), ent.n, nil
 }
 
 // AverageGammaSets is AverageGamma over explicitly materialized candidate

@@ -94,6 +94,28 @@ func TestEngineSafePointMatchesSafearea(t *testing.T) {
 	}
 }
 
+// TestEngineSafePointEmptyGammaIsNoHit: a multiset whose Γ is empty (three
+// points in general position in d = 2 at f = 1) fails on every call, and
+// recalling the memoized error does not count as a cache hit.
+func TestEngineSafePointEmptyGammaIsNoHit(t *testing.T) {
+	ms := geometry.NewMultiset(2)
+	for _, v := range []geometry.Vector{{0, 0}, {1, 0}, {0, 1}} {
+		if err := ms.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := NewEngine(1, true)
+	before := CountersSnapshot()
+	for rep := 0; rep < 2; rep++ {
+		if _, err := eng.SafePoint(ms, 1, safearea.MethodAuto); err == nil {
+			t.Fatalf("rep=%d: SafePoint of an empty Γ returned no error", rep)
+		}
+	}
+	if got := CountersSnapshot().Sub(before); got.CacheHits != 0 {
+		t.Fatalf("a memoized error counted %d cache hits", got.CacheHits)
+	}
+}
+
 // TestEngineMatchesReferenceAverage: the streaming engine must reproduce the
 // eager serial reference (subset materialization + geometry.Mean) exactly.
 func TestEngineMatchesReferenceAverage(t *testing.T) {

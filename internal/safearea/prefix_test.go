@@ -121,76 +121,3 @@ func TestPointOnPrefixMatchesFull(t *testing.T) {
 		}
 	}
 }
-
-// TestIncrementalMatchesFromScratch drives an Incremental through random
-// Swap/Add/Remove deltas and checks Point, IsEmpty and Contains against
-// from-scratch computations on the same multiset after every delta.
-func TestIncrementalMatchesFromScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const d, f = 2, 1
-	ms := randMultiset(rng, 6, d)
-	inc, err := NewIncremental(ms, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 40; step++ {
-		switch op := rng.Intn(4); {
-		case op == 0 && inc.Len() > 5:
-			if err := inc.Remove(rng.Intn(inc.Len())); err != nil {
-				t.Fatalf("step %d remove: %v", step, err)
-			}
-		case op == 1 && inc.Len() < 9:
-			if err := inc.Add(randVector(rng, d)); err != nil {
-				t.Fatalf("step %d add: %v", step, err)
-			}
-		default:
-			if err := inc.Swap(rng.Intn(inc.Len()), randVector(rng, d)); err != nil {
-				t.Fatalf("step %d swap: %v", step, err)
-			}
-		}
-		cur := inc.Multiset()
-
-		wantPt, wantErr := PointWith(cur, f, MethodAuto)
-		gotPt, gotErr := inc.Point(MethodAuto)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("step %d: point errors diverge: %v vs %v", step, gotErr, wantErr)
-		}
-		if wantErr == nil && !gotPt.Equal(wantPt) {
-			t.Fatalf("step %d: incremental point %v, from-scratch %v", step, gotPt, wantPt)
-		}
-
-		wantEmpty, err := IsEmpty(cur, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotEmpty, err := inc.IsEmpty()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantEmpty != gotEmpty {
-			t.Fatalf("step %d: emptiness diverges: %v vs %v", step, gotEmpty, wantEmpty)
-		}
-
-		// Membership of a few probes, including the Γ-point when present.
-		probes := []geometry.Vector{randVector(rng, d), randVector(rng, d)}
-		if wantErr == nil {
-			probes = append(probes, wantPt)
-		}
-		for _, z := range probes {
-			want, err := Contains(cur, f, z, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := inc.Contains(z, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want != got {
-				t.Fatalf("step %d: membership of %v diverges: %v vs %v", step, z, got, want)
-			}
-		}
-	}
-	if inc.Groups() <= 1 {
-		t.Fatalf("family degenerated to %d groups", inc.Groups())
-	}
-}

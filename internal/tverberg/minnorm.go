@@ -8,7 +8,7 @@ import (
 	"repro/internal/lp"
 )
 
-// minNorm solves the minimum-norm-point problem min ‖x‖ over x ∈ conv(P)
+// minNormWith solves the minimum-norm-point problem min ‖x‖ over x ∈ conv(P)
 // with Wolfe's algorithm (Wolfe 1976): it maintains a corral — an affinely
 // independent subset whose affine minimum-norm point has strictly positive
 // convex weights — and alternates adding the most violating point (major
@@ -49,14 +49,10 @@ type minNormScratch struct {
 	res     minNormResult
 }
 
-// minNorm solves with a private scratch (one-shot callers).
-func minNorm(p [][]float64) (*minNormResult, error) {
-	return minNormWith(p, &minNormScratch{})
-}
-
-// minNormWith is minNorm with caller-managed scratch. The arithmetic is
-// identical to a fresh-scratch solve — buffers only change where the values
-// live, never the operation order — so results are bit-identical.
+// minNormWith runs the solve described at minNormResult in caller-managed
+// scratch. The arithmetic is identical to a fresh-scratch solve — buffers
+// only change where the values live, never the operation order — so results
+// are bit-identical.
 func minNormWith(p [][]float64, sc *minNormScratch) (*minNormResult, error) {
 	if len(p) == 0 {
 		return nil, errors.New("tverberg: min-norm of empty set")

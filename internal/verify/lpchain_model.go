@@ -419,3 +419,11 @@ func combinations(n, k int) [][]int {
 		}
 	}
 }
+
+func randVec(rng *rand.Rand, d int) []float64 {
+	v := make([]float64, d)
+	for i := range v {
+		v[i] = rng.Float64()
+	}
+	return v
+}
