@@ -129,25 +129,20 @@ func (a *AsyncNode) OnMessage(api sim.API, from sim.ProcID, msg sim.Message) {
 
 // startRound begins the exchange for the current round and processes an
 // immediately-complete exchange (possible when this process lagged and the
-// round's traffic already arrived).
+// round's traffic already arrived). finishRound starts the next round
+// itself, so a lagging process recurses through its completed rounds, at
+// most one level per round.
 func (a *AsyncNode) startRound(api sim.API) {
-	for {
-		msgs, err := a.coord.StartRound(a.round, a.v)
-		if err != nil {
-			a.fail(api, err)
-			return
-		}
-		for _, m := range msgs {
-			api.Broadcast(m)
-		}
-		res, ok := a.coord.Completed(a.round)
-		if !ok {
-			return
-		}
+	msgs, err := a.coord.StartRound(a.round, a.v)
+	if err != nil {
+		a.fail(api, err)
+		return
+	}
+	for _, m := range msgs {
+		api.Broadcast(m)
+	}
+	if res, ok := a.coord.Completed(a.round); ok {
 		a.finishRound(api, res)
-		if a.decision != nil || a.err != nil {
-			return
-		}
 	}
 }
 

@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/aad"
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/geometry"
@@ -376,5 +378,94 @@ func TestAsyncF2TwoByzantine(t *testing.T) {
 	ex := r.execution(t)
 	if err := ex.VerifyApprox(cfg.Epsilon, 1e-6); err != nil {
 		t.Fatalf("verification: %v", err)
+	}
+}
+
+// queueAPI is a hand-driven sim.API: every Send is appended to a shared
+// queue that the test delivers in an order of its choosing.
+type queueAPI struct {
+	id    sim.ProcID
+	n     int
+	queue *[]envelope
+	rng   *rand.Rand
+}
+
+type envelope struct {
+	from, to sim.ProcID
+	msg      sim.Message
+}
+
+func (a *queueAPI) ID() sim.ProcID { return a.id }
+func (a *queueAPI) N() int         { return a.n }
+func (a *queueAPI) Send(to sim.ProcID, msg sim.Message) {
+	*a.queue = append(*a.queue, envelope{from: a.id, to: to, msg: msg})
+}
+func (a *queueAPI) Broadcast(msg sim.Message) {
+	for to := 0; to < a.n; to++ {
+		a.Send(sim.ProcID(to), msg)
+	}
+}
+func (a *queueAPI) Halt()              {}
+func (a *queueAPI) Rand() *rand.Rand   { return a.rng }
+func (a *queueAPI) Now() time.Duration { return 0 }
+
+// TestAsyncLaggingNodeCatchesUp: a process whose inbound traffic is held
+// back until the others have decided must catch up through rounds that
+// complete the moment it starts them. Its held messages arrive with every
+// reliable-broadcast message first and the round-2 and round-3 reports
+// before the round-1 reports, so completing round 1 immediately completes
+// rounds 2 and 3 and leaves round 4 pending.
+func TestAsyncLaggingNodeCatchesUp(t *testing.T) {
+	cfg := asyncConfig(4, 1, 1, 0.2)
+	cfg.MaxRounds = 4
+	inputs := boxInputs(rand.New(rand.NewSource(3)), cfg.N, cfg.D, 0, 1)
+	var queue []envelope
+	nodes := make([]*core.AsyncNode, cfg.N)
+	apis := make([]*queueAPI, cfg.N)
+	for i := range nodes {
+		nd, err := core.NewAsyncNode(cfg, sim.ProcID(i), inputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = nd
+		apis[i] = &queueAPI{id: sim.ProcID(i), n: cfg.N, queue: &queue, rng: rand.New(rand.NewSource(int64(i)))}
+	}
+	for i, nd := range nodes {
+		nd.Init(apis[i])
+	}
+	// Processes 1..3 run to their decisions; process 0 hears nothing.
+	var held []envelope
+	for len(queue) > 0 {
+		e := queue[0]
+		queue = queue[1:]
+		if e.to == 0 {
+			held = append(held, e)
+			continue
+		}
+		nodes[e.to].OnMessage(apis[e.to], e.from, e.msg)
+	}
+	for i := 1; i < cfg.N; i++ {
+		if !nodes[i].Decided() {
+			t.Fatalf("node %d did not decide without node 0", i)
+		}
+	}
+	reportRound := func(e envelope) int {
+		if m := e.msg.(aad.Msg); m.Kind == aad.KindReport {
+			return m.Report.Round
+		}
+		return 0
+	}
+	rank := map[int]int{0: 0, 2: 1, 3: 1, 1: 2, 4: 3}
+	sort.SliceStable(held, func(i, j int) bool { return rank[reportRound(held[i])] < rank[reportRound(held[j])] })
+	queue = held
+	for len(queue) > 0 { // node 0's own sends to the decided nodes are dropped
+		e := queue[0]
+		queue = queue[1:]
+		if e.to == 0 {
+			nodes[0].OnMessage(apis[0], e.from, e.msg)
+		}
+	}
+	if _, err := nodes[0].Decision(); err != nil {
+		t.Fatalf("lagging node: %v", err)
 	}
 }

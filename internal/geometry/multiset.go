@@ -96,19 +96,6 @@ func (m *Multiset) Subset(indices []int) (*Multiset, error) {
 	return out, nil
 }
 
-// WithoutIndex returns the multiset of all members except the one at index i,
-// preserving order — the "inputs of the n−1 other processes" construction
-// used throughout the necessity proofs.
-func (m *Multiset) WithoutIndex(i int) (*Multiset, error) {
-	if i < 0 || i >= len(m.points) {
-		return nil, fmt.Errorf("geometry: index %d out of range [0,%d)", i, len(m.points))
-	}
-	out := &Multiset{dim: m.dim, points: make([]Vector, 0, len(m.points)-1)}
-	out.points = append(out.points, m.points[:i]...)
-	out.points = append(out.points, m.points[i+1:]...)
-	return out, nil
-}
-
 // Equal reports whether two multisets have identical members in identical
 // order.
 func (m *Multiset) Equal(o *Multiset) bool {

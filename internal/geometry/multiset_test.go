@@ -73,37 +73,6 @@ func TestMultisetSubsetOutOfRange(t *testing.T) {
 	}
 }
 
-func TestMultisetWithoutIndex(t *testing.T) {
-	m := MustMultisetOf(Vector{0}, Vector{1}, Vector{2})
-	for i := 0; i < 3; i++ {
-		s, err := m.WithoutIndex(i)
-		if err != nil {
-			t.Fatalf("WithoutIndex(%d): %v", i, err)
-		}
-		if s.Len() != 2 {
-			t.Fatalf("WithoutIndex(%d).Len() = %d", i, s.Len())
-		}
-		for j := 0; j < s.Len(); j++ {
-			if s.At(j)[0] == float64(i) {
-				t.Errorf("WithoutIndex(%d) still contains member %d", i, i)
-			}
-		}
-	}
-	if _, err := m.WithoutIndex(3); err == nil {
-		t.Error("expected out-of-range error")
-	}
-}
-
-func TestMultisetWithoutIndexDoesNotMutate(t *testing.T) {
-	m := MustMultisetOf(Vector{0}, Vector{1}, Vector{2})
-	if _, err := m.WithoutIndex(1); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 3 || m.At(1)[0] != 1 {
-		t.Error("WithoutIndex mutated receiver")
-	}
-}
-
 func TestMultisetEqual(t *testing.T) {
 	a := MustMultisetOf(Vector{1}, Vector{2})
 	b := MustMultisetOf(Vector{1}, Vector{2})

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Core selects the simplex implementation behind Solve, SolveWithBasis and
+// Core selects the simplex implementation behind Solve, SolveWith and
 // SolveHot. The revised core (the default) maintains only the basis — as an
 // LU factorization updated with an eta file per pivot and refactored
 // periodically or when a stability monitor trips — so reduced costs are

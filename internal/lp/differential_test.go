@@ -198,126 +198,94 @@ func TestCoresAgreeOnUnbounded(t *testing.T) {
 	}
 }
 
-// TestCoresAgreeOnWarmChains drives the Gray-walk shape (sibling programs
-// through one carried Basis) under both cores: every verdict must equal an
-// independent cold solve of the same program on the same core.
-func TestCoresAgreeOnWarmChains(t *testing.T) {
-	for _, core := range []Core{CoreDense, CoreRevised} {
-		withCore(core, func() {
-			rng := rand.New(rand.NewSource(31))
-			const d, npts = 3, 6
-			pts := make([][]float64, npts)
-			for i := range pts {
-				pts[i] = randVec(rng, d)
-			}
-			ws := NewWorkspace()
-			var bas Basis
-			warm := NewProblem()
-			for step := 0; step < 80; step++ {
-				pts[step%npts] = randVec(rng, d)
-				z := randVec(rng, d)
-				if step%3 == 0 {
-					for l := 0; l < d; l++ {
-						z[l] = 0.25*pts[0][l] + 0.35*pts[1][l] + 0.4*pts[2][l]
-					}
-				}
-				membershipProblem(t, warm, pts, z, 1e-7)
-				got, err := warm.SolveWithBasis(ws, &bas)
-				if err != nil {
-					t.Fatalf("core %v step %d: warm: %v", core, step, err)
-				}
-				cold := NewProblem()
-				membershipProblem(t, cold, pts, z, 1e-7)
-				want, err := cold.Solve()
-				if err != nil {
-					t.Fatalf("core %v step %d: cold: %v", core, step, err)
-				}
-				if (got.Status == Optimal) != (want.Status == Optimal) {
-					t.Fatalf("core %v step %d: warm %v cold %v", core, step, got.Status, want.Status)
-				}
-			}
-		})
-	}
-}
-
 // TestRevisedHotLongChain pushes a Hot handle through enough appends and
 // re-solves to cross the refactorization cadence, checking every stage
 // against a cold solve of the cumulative program — the eta-file and
-// bordered-row operators must compose across refactorizations.
+// bordered-row operators must compose across refactorizations. The root
+// program has more than smallCoreRows rows so the handle runs on the
+// revised core, not the small-program tableau kernel.
 func TestRevisedHotLongChain(t *testing.T) {
 	withCore(CoreRevised, func() {
 		rng := rand.New(rand.NewSource(57))
 		for trial := 0; trial < 10; trial++ {
-			const nv = 6
-			p := NewProblem()
-			vars := make([]VarID, nv)
+			const nv, nbase = 6, smallCoreRows
+			// terms is Σ coeffᵢ·varsᵢ without the zero coefficients.
+			terms := func(vars []VarID, coeff []float64) []Term {
+				ts := make([]Term, 0, nv)
+				for i, a := range coeff {
+					if a != 0 {
+						ts = append(ts, Term{Var: vars[i], Coeff: a})
+					}
+				}
+				return ts
+			}
+			addRow := func(p *Problem, vars []VarID, coeff []float64, rel Rel, rhs float64) {
+				if err := p.AddConstraint("r", terms(vars, coeff), rel, rhs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			setObj := func(p *Problem, vars []VarID, coeff []float64) {
+				if err := p.SetObjective(Minimize, terms(vars, coeff)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p, cold := NewProblem(), NewProblem()
+			vars, cvars := make([]VarID, nv), make([]VarID, nv)
 			for i := range vars {
 				vars[i], _ = p.AddVar("x", 0, 100)
-			}
-			terms := make([]Term, nv)
-			for i, v := range vars {
-				terms[i] = Term{Var: v, Coeff: 1 + rng.Float64()}
-			}
-			_ = p.AddConstraint("base", terms, GE, 10)
-			obj := make([]Term, nv)
-			for i, v := range vars {
-				obj[i] = Term{Var: v, Coeff: 0.5 + rng.Float64()}
-			}
-			_ = p.SetObjective(Minimize, obj)
-
-			cold := NewProblem()
-			cvars := make([]VarID, nv)
-			for i := range cvars {
 				cvars[i], _ = cold.AddVar("x", 0, 100)
 			}
-			cterms := make([]Term, nv)
-			for i, v := range cvars {
-				cterms[i] = Term{Var: v, Coeff: terms[i].Coeff}
+			// nbase covering rows Σ aᵢxᵢ ≥ 10 (feasible inside the box).
+			for r := 0; r < nbase; r++ {
+				coeff := make([]float64, nv)
+				for i := range coeff {
+					coeff[i] = 1 + rng.Float64()
+				}
+				addRow(p, vars, coeff, GE, 10)
+				addRow(cold, cvars, coeff, GE, 10)
 			}
-			_ = cold.AddConstraint("base", cterms, GE, 10)
-			cobj := make([]Term, nv)
-			for i, v := range cvars {
-				cobj[i] = Term{Var: v, Coeff: obj[i].Coeff}
+			obj := make([]float64, nv)
+			for i := range obj {
+				obj[i] = 0.5 + rng.Float64()
 			}
-			_ = cold.SetObjective(Minimize, cobj)
+			setObj(p, vars, obj)
+			setObj(cold, cvars, obj)
 
 			sol, hot, err := p.SolveHot(NewWorkspace())
 			if err != nil || sol.Status != Optimal || hot == nil {
 				t.Fatalf("trial %d: root: %+v %v", trial, sol, err)
 			}
+			if hot.rev == nil {
+				t.Fatalf("trial %d: root program ran on the dense tableau kernel, not the revised core", trial)
+			}
 			for step := 0; step < 25; step++ {
 				// Append a row loose enough to keep the current vertex:
 				// Σ aᵢxᵢ ≤ current value + slack.
-				row := make([]Term, 0, nv)
-				crow := make([]Term, 0, nv)
+				coeff := make([]float64, nv)
 				var at float64
-				for i := range vars {
-					a := rng.Float64()
-					if a < 0.3 {
-						continue
+				nz := false
+				for i := range coeff {
+					if a := rng.Float64(); a >= 0.3 {
+						coeff[i] = a
+						at += a * sol.Values[vars[i]]
+						nz = true
 					}
-					row = append(row, Term{Var: vars[i], Coeff: a})
-					crow = append(crow, Term{Var: cvars[i], Coeff: a})
-					at += a * sol.Values[vars[i]]
 				}
-				if len(row) == 0 {
+				if !nz {
 					continue
 				}
 				bound := at + 0.5 + rng.Float64()
-				if err := hot.AppendLE(row, bound); err != nil {
+				if err := hot.AppendLE(terms(vars, coeff), bound); err != nil {
 					t.Fatalf("trial %d step %d: append: %v", trial, step, err)
 				}
-				if err := cold.AddConstraint("app", crow, LE, bound); err != nil {
-					t.Fatal(err)
-				}
+				addRow(cold, cvars, coeff, LE, bound)
 				// Occasionally change the objective.
 				if step%4 == 3 {
 					for i := range obj {
-						obj[i].Coeff = 0.5 + rng.Float64()
-						cobj[i].Coeff = obj[i].Coeff
+						obj[i] = 0.5 + rng.Float64()
 					}
-					_ = p.SetObjective(Minimize, obj)
-					_ = cold.SetObjective(Minimize, cobj)
+					setObj(p, vars, obj)
+					setObj(cold, cvars, obj)
 				}
 				sol, err = hot.Resolve()
 				if err != nil || sol.Status != Optimal {

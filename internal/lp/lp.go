@@ -213,17 +213,7 @@ func (p *Problem) SolveWith(ws *Workspace) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Status: status}
-	if status != Optimal {
-		return sol, nil
-	}
-	sol.Values = std.recover(x)
-	var obj float64
-	for _, t := range p.obj {
-		obj += t.Coeff * sol.Values[t.Var]
-	}
-	sol.Objective = obj
-	return sol, nil
+	return p.assemble(std, status, x)
 }
 
 // smallCoreRows is the revised core's tableau cutoff: programs with at most

@@ -342,32 +342,6 @@ func (rv *rev) btranBase(y []float64) {
 	}
 }
 
-// refactorStrict factors the current basis without the repair loop: used
-// by the warm path, where a singular candidate basis must defer to the
-// cold solve instead of being repaired into a different basis.
-func (rv *rev) refactorStrict() bool {
-	m := rv.m
-	ws := rv.ws
-	lu := grow(&ws.lu, m*m)
-	col := grow(&ws.col, m)
-	for j, c := range rv.basis {
-		rv.column(c, col)
-		for i := 0; i < m; i++ {
-			lu[i*m+j] = col[i]
-		}
-	}
-	piv := grow(&ws.luPiv, m)
-	if !luFactorize(lu, piv, m) {
-		return false
-	}
-	rv.compressFactors(lu, m)
-	rv.luDim = m
-	ws.ops = ws.ops[:0]
-	ws.opBuf = ws.opBuf[:0]
-	ws.opIdx = ws.opIdx[:0]
-	return true
-}
-
 // refresh refactors and recomputes the basic values from the fresh
 // factors. Negative recomputed values are clamped to exactly zero — noise
 // within feasEps always is, and on the ill-conditioned fragile bases the
@@ -1019,64 +993,6 @@ func (rv *rev) checkArtificials() error {
 		return errIterationCap
 	}
 	return nil
-}
-
-// solveWarmRevised attempts the warm path of SolveWithBasis on the revised
-// core: refactor the candidate basis against this program's coefficients,
-// recompute the basic values from the fresh factors, and — when the basis
-// is nonsingular and primal feasible here — run phase 2 directly. The
-// boolean reports whether a verdict was produced; false defers to the cold
-// two-phase path.
-func (s *standard) solveWarmRevised(ws *Workspace, cols []int) (Status, []float64, bool) {
-	m, n := s.m, s.n
-	if m == 0 || len(cols) != m {
-		return 0, nil, false
-	}
-	for _, c := range cols {
-		if c < 0 || c >= n {
-			return 0, nil, false
-		}
-	}
-	rv := &rev{std: s, ws: ws, m: m, n: n}
-	rv.basis = grow(&ws.basis, m)
-	copy(rv.basis, cols)
-	rv.xB = grow(&ws.xB, m)
-	ws.ops = ws.ops[:0]
-	ws.opBuf = ws.opBuf[:0]
-	ws.opIdx = ws.opIdx[:0]
-	rv.buildCSC()
-	rv.markBasis()
-	// Strict factorization for the warm attempt: no basis repair and no
-	// value clamping — a candidate basis that is singular for these
-	// coefficients or whose basic point is primal infeasible must fall
-	// back to the cold two-phase path (which decides feasibility
-	// honestly), not be "fixed" into a fake vertex.
-	if !rv.refactorStrict() {
-		return 0, nil, false // singular for these coefficients: run cold
-	}
-	copy(rv.xB[:m], s.b[:m])
-	rv.ftran(rv.xB)
-	for i, v := range rv.xB {
-		if v < -feasEps {
-			return 0, nil, false // primal infeasible basic point: run cold
-		}
-		if v < 0 {
-			rv.xB[i] = 0
-		}
-	}
-	p2c := growZero(&ws.cvec, n+m)
-	copy(p2c, s.c[:n])
-	st, err := rv.iterate(p2c, n, blandEps)
-	if err != nil {
-		return 0, nil, false // numeric trouble: let the cold path decide
-	}
-	if st != Optimal {
-		return st, nil, true
-	}
-	if rv.checkArtificials() != nil {
-		return 0, nil, false // repair relaxed a row: let the cold path decide
-	}
-	return Optimal, rv.extract(), true
 }
 
 // appendLERow extends the standard-form program with the standardized row

@@ -6,61 +6,18 @@ import (
 	"math"
 )
 
-// This file is the warm-start layer of the solver: reusing the work of a
-// previous solve instead of re-running Phase 1 from the all-artificial basis.
-//
-// Two forms are provided, matching the two reuse shapes of the Γ-point
-// pipeline:
-//
-//   - Basis + SolveWithBasis: restart a *sibling* program (same shape,
-//     slightly different coefficients — e.g. the hull-membership LPs of
-//     consecutive candidate subsets walked in Gray-code order) from the
-//     previous program's optimal basis. The basis is pivoted into the fresh
-//     tableau; if it is primal feasible there, Phase 1 is skipped entirely
-//     and Phase 2 runs from a near-optimal vertex.
-//   - Hot + AppendLE + Resolve: keep *one* program's final tableau alive
-//     across objective changes and appended ≤-rows (the lex-min pinning
-//     chain), re-pricing the retained tableau instead of rebuilding it.
+// This file is the warm-start layer of the solver: Hot + AppendLE + Resolve
+// keep *one* program's final basis alive across objective changes and
+// appended ≤-rows (the lex-min pinning chain of internal/hull), re-pricing
+// the retained state instead of re-standardizing and re-running Phase 1.
 //
 // CAUTION — determinism vs. purity. Every solve here is deterministic (same
-// inputs, same basis → same bits), but a warm-started *solution vector* is a
-// function of the program AND the starting basis: on a degenerate optimal
-// face, different bases can reach different optimal vertices. Callers that
-// memoize or exchange solution points must therefore only use warm starts
-// where the consumed output is basis-independent (feasibility/emptiness
-// verdicts, objective values within tolerance) or where the whole warm chain
-// is a pure function of the memo key (the lex-min stages of one candidate
-// set). See internal/hull for both patterns.
-
-// Basis is a reusable snapshot of an optimal simplex basis: the set of basic
-// columns in standard-form column space. Its zero value is empty (cold). A
-// Basis may be carried between Problems of identical shape; SolveWithBasis
-// validates it against the target program and silently falls back to a cold
-// two-phase solve when it does not fit.
-type Basis struct {
-	cols []int
-	m, n int
-}
-
-// Valid reports whether the basis holds a usable snapshot.
-func (b *Basis) Valid() bool { return b != nil && len(b.cols) > 0 }
-
-// Reset clears the snapshot (the next SolveWithBasis runs cold).
-func (b *Basis) Reset() { b.cols = b.cols[:0] }
-
-// capture snapshots the final basis of a solve when every basic column is
-// structural or slack (an artificial left basic — a degenerate null row —
-// cannot seed a warm start, so the snapshot is invalidated instead).
-func (b *Basis) capture(basis []int, m, n int) {
-	b.m, b.n = m, n
-	b.cols = b.cols[:0]
-	for _, c := range basis {
-		if c >= n {
-			return // leaves cols empty → invalid
-		}
-	}
-	b.cols = append(b.cols, basis...)
-}
+// inputs, same operation sequence → same bits), but a warm-started
+// *solution vector* depends on the basis it started from: on a degenerate
+// optimal face, different bases can reach different optimal vertices.
+// Callers that memoize or exchange solution points must therefore only use
+// a Hot chain where the whole chain is a pure function of the memo key (the
+// lex-min stages of one candidate set, see internal/hull).
 
 // Reset clears the problem's variables, constraints and objective while
 // keeping the allocated capacity, so one Problem value can be rebuilt many
@@ -78,124 +35,8 @@ func (p *Problem) Reset() {
 	p.obj = p.obj[:0]
 }
 
-// SolveWithBasis is SolveWith seeded by a previous optimal basis. On the
-// revised core the candidate basis is refactored directly against the new
-// program's coefficients (one LU factorization instead of Phase 1); on the
-// dense core the basis columns are pivoted into a fresh tableau. Either
-// way, when the resulting basic solution is primal feasible the solve
-// proceeds directly to Phase 2 — skipping Phase 1, which dominates cold
-// solves of the sibling programs the Γ-point pipeline generates. When the
-// basis does not fit (wrong shape, singular factorization, infeasible basic
-// point) the solve falls back to the cold two-phase path. On an Optimal
-// outcome the basis snapshot is replaced by this solve's final basis;
-// otherwise it is invalidated.
-//
-// See the package note above on when a warm-started solution may be used.
-func (p *Problem) SolveWithBasis(ws *Workspace, bas *Basis) (*Solution, error) {
-	if bas == nil {
-		return p.SolveWith(ws)
-	}
-	std, err := p.standardize(ws)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		status Status
-		x      []float64
-		warmed bool
-	)
-	if bas.Valid() && bas.m == std.m && bas.n == std.n {
-		if ActiveCore() == CoreDense || std.m <= smallCoreRows {
-			status, x, warmed = std.solveWarm(ws, bas.cols)
-		} else {
-			status, x, warmed = std.solveWarmRevised(ws, bas.cols)
-		}
-	}
-	if !warmed {
-		status, x, err = std.solveActive(ws)
-		if err != nil {
-			bas.Reset()
-			return nil, err
-		}
-	}
-	if status == Optimal {
-		bas.capture(ws.basis, std.m, std.n)
-	} else {
-		bas.Reset()
-	}
-	return p.assemble(std, status, x)
-}
-
-// solveWarm attempts the warm path: rebuild the tableau, pivot the given
-// basis in, verify primal feasibility, run Phase 2. The boolean result
-// reports whether the warm path produced a verdict; false means the caller
-// must run the cold path (nothing observable has been decided).
-func (s *standard) solveWarm(ws *Workspace, cols []int) (Status, []float64, bool) {
-	m, n := s.m, s.n
-	if m == 0 || len(cols) != m {
-		return 0, nil, false
-	}
-	t, basis := s.buildTableau(ws)
-	width := n + m + 1
-	// Pivot each basis column into an unassigned row, choosing the largest
-	// eligible pivot for stability. A near-zero column means the basis is
-	// singular for this program's coefficients: fall back.
-	assigned := grow(&ws.rowUsed, m)
-	for i := range assigned {
-		assigned[i] = false
-	}
-	for _, col := range cols {
-		if col < 0 || col >= n {
-			return 0, nil, false
-		}
-		row, best := -1, pivotEps
-		for i := 0; i < m; i++ {
-			if assigned[i] {
-				continue
-			}
-			if a := math.Abs(t[i*width+col]); a > best {
-				row, best = i, a
-			}
-		}
-		if row < 0 {
-			return 0, nil, false
-		}
-		pivot(t, m, width, basis, row, col)
-		assigned[row] = true
-	}
-	// Primal feasibility of the warm basic solution. Values inside the
-	// feasibility tolerance are clamped to exactly zero so the ratio test
-	// never divides against negative noise.
-	for i := 0; i < m; i++ {
-		b := t[i*width+width-1]
-		if b < -feasEps {
-			return 0, nil, false
-		}
-		if b < 0 {
-			t[i*width+width-1] = 0
-		}
-	}
-	// Phase 2 from the warm vertex.
-	p2c := growZero(&ws.cvec, width)
-	copy(p2c, s.c)
-	reprice(t, m, width, basis, p2c)
-	if err := simplexLoop(t, m, width, basis, n, p2c); err != nil {
-		if errors.Is(err, errUnboundedPivot) {
-			return Unbounded, nil, true
-		}
-		return 0, nil, false // numeric trouble: let the cold path decide
-	}
-	x := growZero(&ws.x, n)
-	for i, bi := range basis {
-		if bi < n {
-			x[bi] = t[i*width+width-1]
-		}
-	}
-	return Optimal, x, true
-}
-
-// assemble converts a standard-form outcome into the public Solution,
-// mirroring SolveWith's epilogue.
+// assemble converts a standard-form outcome into the public Solution: the
+// shared epilogue of SolveWith, SolveHot and Hot.Resolve.
 func (p *Problem) assemble(std *standard, status Status, x []float64) (*Solution, error) {
 	sol := &Solution{Status: status}
 	if status != Optimal {

@@ -6,125 +6,6 @@ import (
 	"testing"
 )
 
-// membershipProblem builds the hull-membership feasibility LP used across
-// the Γ-point pipeline: convex weights over pts reproducing z within tol.
-func membershipProblem(t *testing.T, p *Problem, pts [][]float64, z []float64, tol float64) {
-	t.Helper()
-	p.Reset()
-	d := len(z)
-	alphas := make([]VarID, len(pts))
-	for i := range pts {
-		v, err := p.AddVar("a", 0, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		alphas[i] = v
-	}
-	sum := make([]Term, len(pts))
-	for i, a := range alphas {
-		sum[i] = Term{Var: a, Coeff: 1}
-	}
-	if err := p.AddConstraint("sum", sum, EQ, 1); err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < d; l++ {
-		terms := make([]Term, 0, len(pts))
-		for i, a := range alphas {
-			if pts[i][l] != 0 {
-				terms = append(terms, Term{Var: a, Coeff: pts[i][l]})
-			}
-		}
-		if err := p.AddConstraint("lo", terms, GE, z[l]-tol); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.AddConstraint("hi", terms, LE, z[l]+tol); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestSolveWithBasisMatchesCold drives a chain of sibling membership
-// programs (one point swapped per step) through SolveWithBasis and checks
-// every verdict against an independent cold solve — feasibility must be
-// basis-independent.
-func TestSolveWithBasisMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const d, npts = 3, 6
-	pts := make([][]float64, npts)
-	for i := range pts {
-		pts[i] = randVec(rng, d)
-	}
-	ws := NewWorkspace()
-	var bas Basis
-	warm := NewProblem()
-	for step := 0; step < 60; step++ {
-		// Swap one point, query membership of a nearby z.
-		pts[step%npts] = randVec(rng, d)
-		z := randVec(rng, d)
-		if step%3 == 0 {
-			// Make z an actual convex combination so both verdicts occur.
-			for l := 0; l < d; l++ {
-				z[l] = 0.25*pts[0][l] + 0.35*pts[1][l] + 0.4*pts[2][l]
-			}
-		}
-		membershipProblem(t, warm, pts, z, 1e-7)
-		got, err := warm.SolveWithBasis(ws, &bas)
-		if err != nil {
-			t.Fatalf("step %d: warm solve: %v", step, err)
-		}
-
-		cold := NewProblem()
-		membershipProblem(t, cold, pts, z, 1e-7)
-		want, err := cold.Solve()
-		if err != nil {
-			t.Fatalf("step %d: cold solve: %v", step, err)
-		}
-		if (got.Status == Optimal) != (want.Status == Optimal) {
-			t.Fatalf("step %d: warm status %v, cold status %v", step, got.Status, want.Status)
-		}
-	}
-}
-
-// TestSolveWithBasisShapeMismatch checks that a basis from a differently
-// shaped program falls back to a cold solve rather than failing.
-func TestSolveWithBasisShapeMismatch(t *testing.T) {
-	ws := NewWorkspace()
-	var bas Basis
-
-	p1 := NewProblem()
-	x, _ := p1.AddVar("x", 0, 10)
-	if err := p1.AddConstraint("c", []Term{{Var: x, Coeff: 1}}, LE, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.SetObjective(Maximize, []Term{{Var: x, Coeff: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	sol, err := p1.SolveWithBasis(ws, &bas)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("p1: %v %v", sol, err)
-	}
-	if math.Abs(sol.Values[x]-5) > 1e-9 {
-		t.Fatalf("p1 optimum %v, want 5", sol.Values[x])
-	}
-
-	p2 := NewProblem()
-	a, _ := p2.AddVar("a", 0, math.Inf(1))
-	b, _ := p2.AddVar("b", 0, math.Inf(1))
-	if err := p2.AddConstraint("c", []Term{{Var: a, Coeff: 1}, {Var: b, Coeff: 1}}, EQ, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.SetObjective(Minimize, []Term{{Var: a, Coeff: 2}, {Var: b, Coeff: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	sol2, err := p2.SolveWithBasis(ws, &bas)
-	if err != nil || sol2.Status != Optimal {
-		t.Fatalf("p2: %v %v", sol2, err)
-	}
-	if math.Abs(sol2.Objective-3) > 1e-9 {
-		t.Fatalf("p2 objective %v, want 3", sol2.Objective)
-	}
-}
-
 // TestHotStagedLexMin replays the lex-min pinning chain through
 // SolveHot/AppendLE/Resolve and checks each stage's optimum against a cold
 // solve of the cumulative program.

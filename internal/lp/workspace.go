@@ -17,9 +17,8 @@ type Workspace struct {
 	cvec  []float64 // per-phase cost vector for re-pricing
 
 	// warm-start buffers (see warm.go)
-	tab2    []float64 // alternate slab for Hot.AppendLE re-layouts
-	rowBuf  []float64 // appended-row construction
-	rowUsed []bool    // row-assignment marks for basis pivot-in
+	tab2   []float64 // alternate slab for Hot.AppendLE re-layouts
+	rowBuf []float64 // appended-row construction
 
 	// revised-core buffers (see revised.go)
 	xB      []float64 // basic values

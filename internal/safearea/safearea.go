@@ -174,12 +174,12 @@ func Contains(y *geometry.Multiset, f int, z geometry.Vector, tol float64) (bool
 
 // ContainsParallel is Contains with the C(|Y|, f) independent hull-membership
 // LPs fanned across a bounded worker pool (workers ≤ 1 or a single subset
-// runs serially). Subsets are streamed by lexicographic rank — workers pull
-// ranks from a shared counter and reconstruct their subset with
-// combin.Unrank, so nothing is materialized — and the reduction is
-// deterministic: the verdict is the conjunction over all subsets, and when
-// several subsets fail (or error) the one with the lowest rank decides the
-// reported error, exactly as in serial order.
+// runs the serial walk, containsLex). Subsets are streamed by lexicographic
+// rank — workers pull ranks from a shared counter and reconstruct their
+// subset with combin.Unrank, so nothing is materialized — and the reduction
+// is deterministic: the verdict is the conjunction over all subsets, and
+// when several subsets fail (or error) the one with the lowest rank decides
+// the reported error, exactly as in serial order.
 func ContainsParallel(y *geometry.Multiset, f int, z geometry.Vector, tol float64, workers int) (bool, error) {
 	keep, err := validate(y, f)
 	if err != nil {
@@ -197,41 +197,7 @@ func ContainsParallel(y *geometry.Multiset, f int, z geometry.Vector, tol float6
 	}
 
 	if workers <= 1 {
-		// Serial walk in revolving-door (Gray) order: consecutive subsets
-		// differ by one swap, so the warm-started membership tester reuses
-		// its previous simplex basis instead of re-running Phase 1. The
-		// verdict is basis- and order-independent (feasibility of each
-		// subset's LP). On an LP error the classic lexicographic walk
-		// re-runs wholesale and its outcome — stop at the lowest-rank
-		// event, failure or error — is returned verbatim, so error-path
-		// results match the parallel reduction (and the pre-Gray serial
-		// semantics) exactly.
-		inside := true
-		var cerr error
-		pts := make([]geometry.Vector, keep)
-		mt := hull.NewMembershipTester()
-		err = combin.GrayCombinations(y.Len(), keep, func(idx []int, _, _ int) bool {
-			for i, j := range idx {
-				pts[i] = y.At(j)
-			}
-			ok, err := mt.Test(pts, z, tol)
-			if err != nil {
-				cerr = err
-				return false
-			}
-			if !ok {
-				inside = false
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return false, err
-		}
-		if cerr != nil {
-			return containsLex(y, keep, z, tol)
-		}
-		return inside, nil
+		return containsLex(y, keep, z, tol)
 	}
 
 	var (
@@ -248,9 +214,7 @@ func ContainsParallel(y *geometry.Multiset, f int, z geometry.Vector, tol float6
 			defer wg.Done()
 			idx := make([]int, keep)
 			pts := make([]geometry.Vector, keep)
-			// One warm tester per worker: consecutive pulled ranks share
-			// most of their subset, and the verdict is basis-independent.
-			mt := hull.NewMembershipTester()
+			mt := hull.NewMembershipTester() // one per worker: reused buffers
 			for {
 				r := next.Add(1) - 1
 				if r >= total || r >= eventRank.Load() {
@@ -283,20 +247,20 @@ func ContainsParallel(y *geometry.Multiset, f int, z geometry.Vector, tol float6
 	return true, nil
 }
 
-// containsLex is the classic serial membership walk: subsets in
-// lexicographic order, stopping at the first event — a non-containing
-// subset or an LP error, whichever has the lower rank. It is the canonical
-// semantics the parallel reduction reproduces; the Gray-order fast path
-// delegates to it whenever an error surfaces.
+// containsLex is the serial membership walk: subsets in lexicographic
+// order through one MembershipTester, stopping at the first event — a
+// non-containing subset or an LP error, whichever has the lower rank. It is
+// the canonical semantics the parallel reduction reproduces.
 func containsLex(y *geometry.Multiset, keep int, z geometry.Vector, tol float64) (bool, error) {
 	inside := true
 	var cerr error
 	pts := make([]geometry.Vector, keep)
+	mt := hull.NewMembershipTester()
 	err := combin.Combinations(y.Len(), keep, func(idx []int) bool {
 		for i, j := range idx {
 			pts[i] = y.At(j)
 		}
-		ok, err := hull.Contains(pts, z, tol)
+		ok, err := mt.Test(pts, z, tol)
 		if err != nil {
 			cerr = err
 			return false

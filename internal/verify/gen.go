@@ -398,3 +398,27 @@ func EncodeGammaInstance(d int, coords [][]float64) []byte {
 	}
 	return out
 }
+
+// combinations enumerates all size-k subsets of {0..n−1} in lexicographic
+// order (small n only — the Γ program shapes used here).
+func combinations(n, k int) [][]int {
+	var out [][]int
+	idx := make([]int, k)
+	for i := range idx {
+		idx[i] = i
+	}
+	for {
+		out = append(out, append([]int(nil), idx...))
+		i := k - 1
+		for i >= 0 && idx[i] == n-k+i {
+			i--
+		}
+		if i < 0 {
+			return out
+		}
+		idx[i]++
+		for j := i + 1; j < k; j++ {
+			idx[j] = idx[j-1] + 1
+		}
+	}
+}

@@ -488,3 +488,11 @@ func (s *ServiceSystem) ServiceGenerator() Generator {
 		}
 	}
 }
+
+func randVec(rng *rand.Rand, d int) []float64 {
+	v := make([]float64, d)
+	for i := range v {
+		v[i] = rng.Float64()
+	}
+	return v
+}
