@@ -95,7 +95,7 @@ type roundState struct {
 	order        []sim.ProcID      // delivery order of origins
 
 	reportSeen [][]bool       // reporter → origin → reported
-	reportSeq  [][]sim.ProcID // reporter → origins in FIFO order
+	reportSeq  [][]sim.ProcID // reporter → origins in FIFO order (cap n each)
 	// missing[r] counts reporter r's reported origins not yet delivered
 	// here. Reporter r is a witness iff len(reportSeq[r]) ≥ quorum and
 	// missing[r] == 0 — exactly the predicate the completion scan used to
@@ -266,15 +266,22 @@ func (c *Coordinator) Completed(t int) (*Result, bool) {
 func (c *Coordinator) round(t int) *roundState {
 	st := c.rounds[t]
 	if st == nil {
+		// Both per-reporter tables are carved from flat n×n backings.
+		// reportSeen admits each (reporter, origin) pair once, so a
+		// reporter's sequence never outgrows its n-entry segment and
+		// handleReport's appends never allocate.
 		seen := make([][]bool, c.n)
-		flat := make([]bool, c.n*c.n)
+		seq := make([][]sim.ProcID, c.n)
+		seenFlat := make([]bool, c.n*c.n)
+		seqFlat := make([]sim.ProcID, c.n*c.n)
 		for i := range seen {
-			seen[i] = flat[i*c.n : (i+1)*c.n]
+			seen[i] = seenFlat[i*c.n : (i+1)*c.n]
+			seq[i] = seqFlat[i*c.n : i*c.n : (i+1)*c.n]
 		}
 		st = &roundState{
 			deliveredVal: make([]geometry.Vector, c.n),
 			reportSeen:   seen,
-			reportSeq:    make([][]sim.ProcID, c.n),
+			reportSeq:    seq,
 			missing:      make([]int, c.n),
 		}
 		c.rounds[t] = st

@@ -374,3 +374,29 @@ func TestHandleUnknownKind(t *testing.T) {
 		t.Error("unknown kind produced output")
 	}
 }
+
+// TestRoundReportsAllocs: a full round of reports — every reporter
+// reporting every origin — allocates only the round's fixed state. The
+// reporters' sequences live in one flat backing sized up front, so the
+// n² report appends never grow a slice.
+func TestRoundReportsAllocs(t *testing.T) {
+	const n = 15
+	c, err := NewCoordinator(n, 2, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		round++
+		for r := 0; r < n; r++ {
+			for o := 0; o < n; o++ {
+				c.Handle(sim.ProcID(r), Msg{Kind: KindReport, Report: ReportMsg{Round: round, Origin: sim.ProcID(o)}})
+			}
+		}
+		delete(c.rounds, round)
+	})
+	t.Logf("%v allocations per round of %d reports", allocs, n*n)
+	if allocs > 7 {
+		t.Fatalf("a round of %d reports made %v allocations, want at most the round state's 7", n*n, allocs)
+	}
+}

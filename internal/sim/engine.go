@@ -78,13 +78,12 @@ type Engine struct {
 	nodes []Node
 	ctxs  []*engineAPI
 
-	queue   eventQueue
-	seq     uint64
-	now     time.Duration
-	lastArr [][]time.Duration // lastArr[from][to]: latest scheduled arrival
-	delay   DelayModel
-	rngNet  *rand.Rand
-	halted  atomic.Int64 // nodes that called Halt (atomic: see runBatch)
+	queue  eventQueue
+	seq    uint64
+	now    time.Duration
+	delay  DelayModel
+	rngNet *rand.Rand
+	halted atomic.Int64 // nodes that called Halt (atomic: see runBatch)
 
 	// lookahead is the delay model's promised minimum link delay (0 when
 	// the model implements no Lookahead): the conservative safety horizon
@@ -127,6 +126,7 @@ func NewEngine(cfg Config, nodes []Node) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		nodes:  nodes,
+		queue:  newEventQueue(cfg.N),
 		delay:  cfg.Delay,
 		rngNet: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed_ca11)),
 	}
@@ -134,10 +134,6 @@ func NewEngine(cfg Config, nodes []Node) (*Engine, error) {
 		if min := la.MinDelay(); min > 0 {
 			e.lookahead = min
 		}
-	}
-	e.lastArr = make([][]time.Duration, cfg.N)
-	for i := range e.lastArr {
-		e.lastArr[i] = make([]time.Duration, cfg.N)
 	}
 	e.ctxs = make([]*engineAPI, cfg.N)
 	for i := range nodes {
@@ -175,7 +171,7 @@ func (e *Engine) runSerial() (Stats, error) {
 		if e.halted.Load() == int64(len(e.nodes)) {
 			break
 		}
-		if len(e.queue) == 0 {
+		if e.queue.Len() == 0 {
 			break
 		}
 		if e.stats.Delivered+e.stats.Suppressed >= int64(e.cfg.MaxEvents) {
@@ -233,14 +229,14 @@ func (e *Engine) runParallel(workers int) (Stats, error) {
 		if e.halted.Load() == int64(len(e.nodes)) {
 			break
 		}
-		if len(e.queue) == 0 {
+		if e.queue.Len() == 0 {
 			break
 		}
 		remaining := int64(e.cfg.MaxEvents) - (e.stats.Delivered + e.stats.Suppressed)
 		if remaining <= 0 {
 			return e.finish(), fmt.Errorf("%w after %d deliveries", ErrMaxEvents, e.stats.Delivered)
 		}
-		t := e.queue[0].at
+		t := e.queue.peekAt()
 		e.now = t
 		if e.cfg.MaxTime > 0 && t > e.cfg.MaxTime {
 			break
@@ -256,7 +252,7 @@ func (e *Engine) runParallel(workers int) (Stats, error) {
 			horizon = e.cfg.MaxTime
 		}
 		batch = batch[:0]
-		for len(e.queue) > 0 && e.queue[0].at <= horizon && int64(len(batch)) < remaining {
+		for e.queue.Len() > 0 && e.queue.peekAt() <= horizon && int64(len(batch)) < remaining {
 			batch = append(batch, e.queue.pop())
 		}
 		e.batches++
@@ -375,10 +371,9 @@ func (e *Engine) send(from, to ProcID, msg Message) {
 		d = 0
 	}
 	at := e.now + d
-	if floor := e.lastArr[from][to] + fifoNudge; at < floor {
+	if floor := e.queue.floor(from, to) + fifoNudge; at < floor {
 		at = floor
 	}
-	e.lastArr[from][to] = at
 	e.seq++
 	e.queue.push(event{at: at, seq: e.seq, from: from, to: to, msg: msg})
 	e.stats.Sent++
@@ -432,66 +427,3 @@ func (a *engineAPI) Halt() {
 func (a *engineAPI) Rand() *rand.Rand { return a.rng }
 
 func (a *engineAPI) Now() time.Duration { return a.now }
-
-// eventQueue is a 4-ary min-heap ordered by (time, sequence number). The
-// ordering is a total order — no two events share a sequence number — so the
-// pop sequence is unique and any correct priority queue yields bit-identical
-// executions; the hand-rolled quaternary layout exists purely because the
-// queue is the discrete-event engine's hottest structure (container/heap's
-// interface indirection and binary fan-out both showed up in profiles).
-type eventQueue []event
-
-// before is the strict (time, seq) order.
-func (q eventQueue) before(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(ev event) {
-	*q = append(*q, ev)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.before(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = event{} // release the Message reference
-	h = h[:last]
-	*q = h
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= len(h) {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > len(h) {
-			end = len(h)
-		}
-		for c := first + 1; c < end; c++ {
-			if h.before(c, best) {
-				best = c
-			}
-		}
-		if !h.before(best, i) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-	return top
-}
